@@ -110,86 +110,23 @@ def test_simulation_speed(benchmark, benchmarks, label):
     assert committed > 0
 
 
-@pytest.mark.parametrize("benchmarks,policy,label", [
-    (("gzip", "twolf", "bzip2", "mcf"), "ICOUNT", "batched reps-8 MIX"),
-    (("mcf", "twolf"), "STALL", "batched reps-8 MEM STALL"),
-])
-def test_backend_fanout_speedup(benchmark, benchmarks, policy, label):
-    """The batched backend on a ``--reps 8`` fan-out vs the scalar loop.
-
-    Times the identical 8-replica job list through both backends,
-    asserts the results are bitwise-equal (the backend contract), and
-    records aggregate simulated cycles/s per backend plus the speedup
-    in BENCH_speed.json.  The win comes from the fast stepper's fused
-    loop and quiescence fast-forward, so it scales with the workload's
-    idle share: memory-bound / fetch-gated configurations gain the
-    most.
-    """
-    pytest.importorskip("numpy")
-    import pickle
-    import time
-
-    from repro.harness.engine import SimJob, replicate_job, run_jobs
-
-    warmup = 1_000
-    jobs = replicate_job(
-        SimJob(tuple(benchmarks), policy, None, CYCLES, warmup, seed=1), 8)
-    total_cycles = len(jobs) * (CYCLES + warmup)
-
-    def measure():
-        start = time.perf_counter()
-        scalar = run_jobs(jobs, backend="scalar")
-        scalar_s = time.perf_counter() - start
-        start = time.perf_counter()
-        batched = run_jobs(jobs, backend="batched")
-        batched_s = time.perf_counter() - start
-        return scalar, batched, scalar_s, batched_s
-
-    scalar, batched, scalar_s, batched_s = benchmark.pedantic(
-        measure, rounds=1, iterations=1)
-    assert [pickle.dumps(r) for r in scalar] \
-        == [pickle.dumps(r) for r in batched]
-    speedup = scalar_s / batched_s
-    _MEASUREMENTS[label] = {
-        "benchmarks": list(benchmarks),
-        "policy": policy,
-        "reps": len(jobs),
-        "warmup": warmup,
-        "aggregate_simulated_cycles": total_cycles,
-        "scalar_cycles_per_sec": round(total_cycles / scalar_s, 1),
-        "batched_cycles_per_sec": round(total_cycles / batched_s, 1),
-        "batched_speedup": round(speedup, 3),
-    }
-    print(f"\n{label}: scalar {total_cycles / scalar_s:,.0f} cyc/s, "
-          f"batched {total_cycles / batched_s:,.0f} cyc/s "
-          f"({speedup:.2f}x, bitwise-equal results)")
-    # The backend must never be a significant slowdown; the recorded
-    # speedup itself is gated against the committed baseline by
-    # scripts/perf_gate.py rather than a fixed threshold here.
-    assert speedup > 0.8
-
-
 @pytest.mark.parametrize("benchmarks,policy,memory_latency,cycles,label", [
-    (("mcf",), "STALL", 1_000, 50_000, "vectorized reps-8 MEM lat1000"),
-    (("mcf", "twolf"), "STALL", None, CYCLES, "vectorized reps-8 MEM STALL"),
+    (("mcf",), "STALL", 1_000, 50_000, "reps-8 MEM lat1000"),
+    (("mcf", "twolf"), "STALL", None, CYCLES, "reps-8 MEM STALL"),
     (("gzip", "twolf", "bzip2", "mcf"), "ICOUNT", None, CYCLES,
-     "vectorized reps-8 MIX"),
+     "reps-8 MIX"),
 ])
-def test_vectorized_fanout_speedup(benchmark, benchmarks, policy,
-                                   memory_latency, cycles, label):
-    """The vectorized backend on a ``--reps 8`` fan-out vs the scalar loop.
+def test_reps8_fanout_speed(benchmark, benchmarks, policy, memory_latency,
+                            cycles, label):
+    """A ``--reps 8`` fan-out through the engine, in simulated cycles/s.
 
-    Unlike the batched comparison above, results here are only
-    *statistically* equivalent (the vectorized stepper draws its trace
-    randomness from numpy streams — see repro/harness/equivalence.py
-    for the acceptance gate), so no bitwise assert: this test records
-    throughput and the ``vectorized_speedup`` ratio, which
-    scripts/perf_gate.py gates against the committed baseline.  The
-    headline entry is the backend's design point — a DRAM-bound
-    single-thread shape at high memory latency, where the lane-parallel
-    stepper's quiescence skip and shared warm-up images pay off most.
+    Three design points of the stepper's quiescence fast-forward: a
+    DRAM-bound single thread at 1000-cycle memory latency (mostly idle
+    cycles, the largest win), memory-bound mcf+twolf under STALL, and
+    the busy 4-thread MIX (mostly fused-loop savings).  The recorded
+    ``cycles_per_sec`` is gated by scripts/perf_gate.py against the
+    committed baseline like every other throughput entry.
     """
-    pytest.importorskip("numpy")
     import time
 
     from repro.harness.engine import SimJob, replicate_job, run_jobs
@@ -203,17 +140,11 @@ def test_vectorized_fanout_speedup(benchmark, benchmarks, policy,
 
     def measure():
         start = time.perf_counter()
-        scalar = run_jobs(jobs, backend="scalar")
-        scalar_s = time.perf_counter() - start
-        start = time.perf_counter()
-        vectorized = run_jobs(jobs, backend="vectorized")
-        vectorized_s = time.perf_counter() - start
-        return scalar, vectorized, scalar_s, vectorized_s
+        results = run_jobs(jobs)
+        return results, time.perf_counter() - start
 
-    scalar, vectorized, scalar_s, vectorized_s = benchmark.pedantic(
-        measure, rounds=1, iterations=1)
-    assert all(r.threads and r.cycles == cycles for r in vectorized)
-    speedup = scalar_s / vectorized_s
+    results, elapsed = benchmark.pedantic(measure, rounds=1, iterations=1)
+    assert all(r.threads and r.cycles == cycles for r in results)
     _MEASUREMENTS[label] = {
         "benchmarks": list(benchmarks),
         "policy": policy,
@@ -222,105 +153,9 @@ def test_vectorized_fanout_speedup(benchmark, benchmarks, policy,
         "cycles": cycles,
         "warmup": warmup,
         "aggregate_simulated_cycles": total_cycles,
-        "scalar_cycles_per_sec": round(total_cycles / scalar_s, 1),
-        "vectorized_cycles_per_sec": round(total_cycles / vectorized_s, 1),
-        "vectorized_speedup": round(speedup, 3),
+        "cycles_per_sec": round(total_cycles / elapsed, 1),
     }
-    print(f"\n{label}: scalar {total_cycles / scalar_s:,.0f} cyc/s, "
-          f"vectorized {total_cycles / vectorized_s:,.0f} cyc/s "
-          f"({speedup:.2f}x, statistically equivalent results)")
-    # Never a significant slowdown; the recorded speedup itself is
-    # gated against the committed baseline by scripts/perf_gate.py.
-    assert speedup > 0.8
-
-
-def test_vectorized_width_scaling(benchmark):
-    """Vectorized throughput as the lane count grows: B = 1 .. 32.
-
-    All lanes share the headline DRAM-bound shape; the curve exposes
-    how the per-batch fixed costs (stream setup, shared prewarm image
-    capture, lane warm-up) amortise as the fan-out widens.  Recorded
-    as cycles/s per width in BENCH_speed.json.
-    """
-    pytest.importorskip("numpy")
-    import time
-
-    from repro.batch.vectorized import VectorizedSimulator
-    from repro.harness.engine import SimJob, replicate_job
-
-    cycles, warmup = 8_000, 500
-    widths = (1, 2, 4, 8, 16, 32)
-    base = SimJob(("mcf",), "STALL", SMTConfig(memory_latency=1_000),
-                  cycles, warmup, seed=1)
-
-    def measure():
-        curve = {}
-        for width in widths:
-            jobs = replicate_job(base, width)
-            start = time.perf_counter()
-            results = VectorizedSimulator(jobs).run()
-            elapsed = time.perf_counter() - start
-            total = width * (cycles + warmup)
-            curve[width] = (total / elapsed, len(results))
-        return curve
-
-    curve = benchmark.pedantic(measure, rounds=1, iterations=1)
-    assert all(count == width for width, (_, count) in curve.items())
-    _MEASUREMENTS["vectorized width scaling"] = {
-        "benchmarks": ["mcf"],
-        "policy": "STALL",
-        "memory_latency": 1_000,
-        "cycles": cycles,
-        "warmup": warmup,
-        "cycles_per_sec_by_width": {
-            str(width): round(rate, 1)
-            for width, (rate, _) in curve.items()},
-    }
-    print("\nvectorized width scaling (cycles/s): " + ", ".join(
-        f"B={width}: {rate:,.0f}" for width, (rate, _) in curve.items()))
-
-
-def test_batch_width_scaling(benchmark):
-    """Batched throughput as the lane count grows: B = 1, 2, 4, 8, 16.
-
-    All lanes share one shape (the 2-thread MEM STALL configuration,
-    where the fast stepper wins most), so per-lane overhead — group
-    detection, instrumentation refresh, demux — is what the curve
-    exposes.  Recorded as cycles/s per width in BENCH_speed.json.
-    """
-    pytest.importorskip("numpy")
-    import time
-
-    from repro.batch import BatchedSimulator
-    from repro.harness.engine import SimJob, replicate_job
-
-    warmup = 500
-    widths = (1, 2, 4, 8, 16)
-    base = SimJob(("mcf", "twolf"), "STALL", None, CYCLES, warmup, seed=1)
-
-    def measure():
-        curve = {}
-        for width in widths:
-            jobs = replicate_job(base, width)
-            start = time.perf_counter()
-            results = BatchedSimulator(jobs).run()
-            elapsed = time.perf_counter() - start
-            total = width * (CYCLES + warmup)
-            curve[width] = (total / elapsed, len(results))
-        return curve
-
-    curve = benchmark.pedantic(measure, rounds=1, iterations=1)
-    assert all(count == width for width, (_, count) in curve.items())
-    _MEASUREMENTS["batched width scaling"] = {
-        "benchmarks": ["mcf", "twolf"],
-        "policy": "STALL",
-        "warmup": warmup,
-        "cycles_per_sec_by_width": {
-            str(width): round(rate, 1)
-            for width, (rate, _) in curve.items()},
-    }
-    print("\nbatched width scaling (cycles/s): " + ", ".join(
-        f"B={width}: {rate:,.0f}" for width, (rate, _) in curve.items()))
+    print(f"\n{label}: {total_cycles / elapsed:,.0f} simulated cycles/s")
 
 
 def test_interval_mode_overhead(benchmark):

@@ -7,19 +7,15 @@ Usage::
     python scripts/perf_gate.py BENCH_speed.json BENCH_speed_new.json \
         [--max-regression-pct 25]
 
-Compares every throughput-like entry (``*cycles_per_sec``,
-``*instructions_per_sec``, ``*ops_per_sec``, the broker's
-``jobs_per_sec``) and the backend speedup ratios
-(``batched_speedup``, ``vectorized_speedup``) of a
-fresh benchmark run against the
-committed ``BENCH_speed.json``.  Absolute cycles/s numbers are
+Compares every throughput-like entry (``cycles_per_sec``,
+``instructions_per_sec``, ``ops_per_sec``, the broker's
+``jobs_per_sec``) of a fresh benchmark run against the committed
+``BENCH_speed.json``.  Absolute cycles/s numbers are
 machine-dependent, so before comparing, each fresh throughput value is
 divided by the *calibration ratio* — the fresh machine's pure-Python
 ``python-calibration`` ops/s over the baseline machine's — which
 cancels interpreter/hardware speed differences and leaves only the
-effect of code changes.  Speedup ratios (scalar vs batched/vectorized
-on the same machine) are compared raw — this is what enforces the
-vectorized backend's headline fan-out speedup claim in CI.
+effect of code changes.
 
 Exit status: 0 when no metric regressed more than the threshold,
 1 otherwise (each offender is listed).  Metrics that improved are
@@ -35,12 +31,7 @@ import sys
 #: Per-entry numeric fields gated as machine-dependent throughput
 #: (normalised by the calibration ratio; higher is better).
 THROUGHPUT_KEYS = ("cycles_per_sec", "instructions_per_sec",
-                   "scalar_cycles_per_sec", "batched_cycles_per_sec",
-                   "vectorized_cycles_per_sec",
                    "ops_per_sec", "jobs_per_sec")
-#: Per-entry numeric fields gated raw (same-machine ratios; higher is
-#: better).
-RATIO_KEYS = ("batched_speedup", "vectorized_speedup")
 
 CALIBRATION_ENTRY = "python-calibration"
 
@@ -85,7 +76,7 @@ def compare(baseline: dict, fresh: dict, max_regression_pct: float) -> int:
         if fresh_entry is None:
             failures.append(f"{name}: missing from the fresh run")
             continue
-        for key in THROUGHPUT_KEYS + RATIO_KEYS:
+        for key in THROUGHPUT_KEYS:
             base_value = base_entry.get(key)
             if not isinstance(base_value, (int, float)) or base_value <= 0:
                 continue
@@ -93,8 +84,7 @@ def compare(baseline: dict, fresh: dict, max_regression_pct: float) -> int:
             if not isinstance(fresh_value, (int, float)):
                 failures.append(f"{name}.{key}: missing from the fresh run")
                 continue
-            normalised = (fresh_value / ratio if key in THROUGHPUT_KEYS
-                          else fresh_value)
+            normalised = fresh_value / ratio
             checked += 1
             change = normalised / base_value - 1.0
             line = (f"{name}.{key}: {base_value:,.1f} -> "

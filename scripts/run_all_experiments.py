@@ -32,12 +32,6 @@ Run:
     python scripts/run_all_experiments.py [output-file] [--jobs N]
         [--executor {serial,process,remote}] [--reps N]
         [--warmup SPEC] [--reuse {off,auto,require}]
-        [--backend {scalar,batched,vectorized}]
-
-``--backend vectorized`` runs the policy-comparison sweeps through the
-lane-parallel numpy stepper (statistically equivalent, not bitwise —
-results live under their own store tag); artefacts whose jobs are
-hook-instrumented run scalar regardless and say so on stderr.
 """
 
 import argparse
@@ -48,8 +42,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 
 from repro.core.sharing import precomputed_table
-from repro.harness.engine import BACKEND_NAMES
-from repro.harness.experiments import ARTIFACTS, BACKEND_AWARE_ARTIFACTS
+from repro.harness.experiments import ARTIFACTS
 from repro.harness.executors import make_executor
 from repro.harness.results import REUSE_MODES, result_store
 from repro.harness.warmup import parse_warmup_argument
@@ -83,13 +76,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="run the Figure 4/5 policy sweep in N-cycle chunks "
              "(identical numbers; enables per-interval progress)")
     parser.add_argument(
-        "--backend", choices=list(BACKEND_NAMES), default=None,
-        help="simulation backend for the policy-comparison artefacts "
-             "(figs45/fig6/fig7): 'batched' is bitwise-identical, "
-             "'vectorized' is statistically equivalent (needs numpy; "
-             "see 'repro equivalence').  Other artefacts run scalar "
-             "regardless — their jobs are hook-instrumented")
-    parser.add_argument(
         "--reuse", choices=list(REUSE_MODES), default="auto",
         help="result-store mode (default auto: repeat runs serve stored "
              "results and simulate only misses — identical output; "
@@ -114,21 +100,13 @@ def build_artefacts(args, executor):
             return artifact.render(
                 jobs=args.jobs, executor=executor, reps=args.reps,
                 reuse=args.reuse, warmup=args.warmup,
-                interval_cycles=args.interval_cycles,
-                backend=args.backend)
+                interval_cycles=args.interval_cycles)
         entries.append((artifact.title, thunk))
     return entries
 
 
 def main() -> None:
     args = parse_args()
-    if args.backend not in (None, "scalar"):
-        scalar_only = [a.key for a in ARTIFACTS
-                       if a.key not in BACKEND_AWARE_ARTIFACTS]
-        print(f"note: --backend {args.backend} applies to "
-              f"{', '.join(BACKEND_AWARE_ARTIFACTS)}; "
-              f"{', '.join(scalar_only)} run scalar regardless",
-              file=sys.stderr)
     out = open(args.output, "w") if args.output else sys.stdout
     emit_lock = threading.Lock()
     t0 = time.time()

@@ -16,11 +16,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    # The core simulator is dependency-free; the batched lockstep
-    # backend (--backend batched) needs numpy for its instrumentation.
-    extras_require={
-        "batch": ["numpy"],
-    },
     entry_points={
         "console_scripts": [
             "repro=repro.__main__:main",

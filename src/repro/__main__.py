@@ -45,17 +45,6 @@ mode: statistics flush every N cycles (identical final tables — the
 interval refactor's invariant), ``--progress`` streams one line per
 completed interval to stderr, and ``run --timeline`` renders ASCII
 IPC/phase timelines (``--timeline-json`` dumps the raw series).
-
-``--backend {scalar,batched,vectorized}`` selects the simulation
-backend: ``batched`` (numpy extra required) runs lockstep-compatible
-job groups — a ``--reps`` fan-out, a single-field sweep — through one
-batched simulator, bitwise-identical to ``scalar`` but faster; jobs
-that can't batch fall back to the scalar path silently and correctly.
-``vectorized`` additionally replaces per-decision trace randomness
-with numpy block draws: fastest, but results are only *statistically*
-equivalent (same metric distributions over seed fan-outs, gated by
-``repro equivalence``) and are stored under their own result-store
-tag; lane-incompatible jobs fall back to scalar with a loud warning.
 ``run --profile-out FILE`` writes a cProfile of the simulation phase.
 
 ``--warmup`` takes a fixed cycle count or ``auto[:window,tol]`` for
@@ -77,7 +66,6 @@ import threading
 from typing import Iterator, List, Optional
 
 from repro.harness.engine import (
-    BACKEND_NAMES,
     ReplicatedRun,
     SimJob,
     derive_seeds,
@@ -213,24 +201,6 @@ def _adaptive_warmup(args: argparse.Namespace) -> bool:
     return isinstance(args.warmup, WarmupPolicy) and args.warmup.is_adaptive
 
 
-def _resolve_backend(args: argparse.Namespace) -> Optional[str]:
-    """The ``--backend`` choice, validated for availability.
-
-    ``batched`` and ``vectorized`` need the numpy extra; when it is
-    missing the command fails loudly here — before any simulation —
-    with the install hint, rather than degrading to a silent scalar run
-    the user did not ask for.
-    """
-    backend = getattr(args, "backend", None)
-    if backend in ("batched", "vectorized"):
-        try:
-            import repro.batch  # noqa: F401
-        except ImportError as error:
-            raise SystemExit(f"--backend {backend} unavailable: {error}") \
-                from None
-    return backend
-
-
 @contextlib.contextmanager
 def _maybe_profile(path: Optional[str]) -> Iterator[None]:
     """cProfile the wrapped simulation phase into ``path`` (when set).
@@ -288,16 +258,11 @@ def _note_resolved_warmups(results) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     interval = args.interval_cycles
-    backend = _resolve_backend(args)
     if (args.timeline or args.timeline_json) and \
             not (interval and args.reps <= 1):
         raise SystemExit(
             "--timeline/--timeline-json need --interval-cycles and a "
             "single replication (--reps 1)")
-    if backend in ("batched", "vectorized") and interval:
-        print("[backend] interval-mode runs are not batchable; "
-              "simulating on the scalar path (identical results)",
-              file=sys.stderr)
     if args.reps <= 1 and interval:
         # In-process interval run: keeps the recorder, so the timeline
         # views are available (a single job gains nothing from workers).
@@ -345,13 +310,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             _maybe_profile(args.profile_out):
         if args.reps <= 1:
             result = run_jobs([job], args.jobs, executor, progress,
-                              args.reuse, backend=backend)[0]
+                              args.reuse)[0]
             if _adaptive_warmup(args):
                 _note_resolved_warmups([result])
             print(thread_table(result))
             return 0
         replicated = run_replicated(job, args.reps, args.jobs, executor,
-                                    progress, args.reuse, backend=backend)
+                                    progress, args.reuse)
     if _adaptive_warmup(args):
         _note_resolved_warmups(replicated.results)
     print(f"Workload: {'+'.join(args.benchmarks)}  policy {args.policy}")
@@ -384,7 +349,6 @@ def _resolve_compare_benchmarks(args: argparse.Namespace) -> List[str]:
 def _cmd_compare(args: argparse.Namespace) -> int:
     benchmarks = _resolve_compare_benchmarks(args)
     interval = args.interval_cycles
-    backend = _resolve_backend(args)
     print(f"Workload: {'+'.join(benchmarks)}")
     n_jobs = len(args.policies) * max(1, args.reps)
     progress = _progress_printer(n_jobs) if args.progress else None
@@ -397,7 +361,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                            args.warmup, args.seed, interval_cycles=interval)
                     for policy in args.policies]
             results = run_jobs(jobs, args.jobs, executor, progress,
-                               args.reuse, backend=backend)
+                               args.reuse)
             singles = [singles_by_benchmark[b] for b in benchmarks]
             if _adaptive_warmup(args):
                 _note_resolved_warmups(results)
@@ -412,8 +376,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                        args.warmup, seed, interval_cycles=interval)
                 for policy in args.policies
                 for seed in seeds]
-        results = run_jobs(jobs, args.jobs, executor, progress, args.reuse,
-                           backend=backend)
+        results = run_jobs(jobs, args.jobs, executor, progress, args.reuse)
 
     if _adaptive_warmup(args):
         _note_resolved_warmups(results)
@@ -468,10 +431,6 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
 
     is_file = (os.path.exists(args.target)
                or args.target.endswith((".json", ".toml")))
-    backend = _resolve_backend(args)
-    if backend is not None and not is_file:
-        print("[backend] built-in artefacts run on the scalar backend; "
-              "--backend applies to scenario files", file=sys.stderr)
     stats: dict
     with _cli_executor(args) as executor, _store_traffic(args) as stats:
         if is_file:
@@ -483,8 +442,7 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
                 raise SystemExit(str(error)) from None
             outcome = run_scenario(scenario, args.jobs, executor,
                                    reuse=args.reuse,
-                                   checkpoint=args.checkpoint,
-                                   backend=backend)
+                                   checkpoint=args.checkpoint)
             if outcome.checkpoint_stats is not None:
                 ckpt = outcome.checkpoint_stats
                 print(f"[checkpoint] {ckpt['prefixes']} shared warm-up "
@@ -642,8 +600,7 @@ def _cmd_broker_submit(args: argparse.Namespace) -> int:
         raise SystemExit(f"broker connection failed: {error}") from None
     with client:
         route = client.open_route("cli-submit")
-        client.submit("cli-submit", "job", job=job, priority=args.priority,
-                      backend=args.backend)
+        client.submit("cli-submit", "job", job=job, priority=args.priority)
         while True:
             try:
                 message = route.get(timeout=client.timeout)
@@ -667,33 +624,6 @@ def _cmd_broker_submit(args: argparse.Namespace) -> int:
           + (" (no simulation ran)" if source == "store" else ""),
           file=sys.stderr)
     return 0
-
-
-def _cmd_equivalence(args: argparse.Namespace) -> int:
-    from repro.harness.equivalence import (
-        default_cases,
-        format_equivalence_report,
-        run_equivalence,
-        write_equivalence_report,
-    )
-
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    for name in policies:
-        if name not in POLICY_NAMES:
-            raise SystemExit(f"unknown policy {name!r} "
-                             f"(expected one of {', '.join(POLICY_NAMES)})")
-    threads = [int(t) for t in args.threads.split(",") if t.strip()]
-    cases = default_cases(policies, threads, args.cycles, args.warmup)
-    report = run_equivalence(
-        cases, seeds=args.seeds, base_seed=args.seed,
-        calibration_seed=args.calibration_seed, backend=args.backend,
-        alpha=args.alpha, max_workers=args.jobs, executor=args.executor)
-    if args.report:
-        write_equivalence_report(report, args.report)
-        print(f"[equivalence] report written to {args.report}",
-              file=sys.stderr)
-    print(format_equivalence_report(report))
-    return 0 if report["accepted"] else 1
 
 
 def _cmd_policies(_args: argparse.Namespace) -> int:
@@ -836,14 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write this run's store hit/miss counters as JSON "
              "(including the shared warm-up prefix stats when active)")
     scenario_run.add_argument(
-        "--backend", choices=list(BACKEND_NAMES), default=None,
-        help="simulation backend for file scenarios: 'batched' runs "
-             "lockstep groups of same-shape jobs (requires the numpy "
-             "extra) with bitwise-identical results; 'vectorized' is "
-             "faster still but only statistically equivalent (own "
-             "result-store tag) (default: what the scenario file "
-             "specifies)")
-    scenario_run.add_argument(
         "--checkpoint", choices=list(CHECKPOINT_MODES), default=None,
         help="warm-up checkpoint mode for file scenarios: override what "
              "the scenario compiled ('auto' for shared_warmup specs); "
@@ -942,11 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--priority", type=int, default=0,
         help="queue priority (higher runs first; default 0)")
     broker_submit.add_argument(
-        "--backend", choices=list(BACKEND_NAMES), default=None,
-        help="simulation backend for the job; a vectorized/batched "
-             "request on a numpy-less worker degrades loudly to scalar "
-             "(the fallback is named in the reply's source line)")
-    broker_submit.add_argument(
         "--timeout", type=_positive_float, default=None, metavar="SECONDS",
         help="seconds to wait for the result (default: "
              "$REPRO_BROKER_TIMEOUT or 600)")
@@ -955,52 +872,6 @@ def build_parser() -> argparse.ArgumentParser:
         broker_cmd.add_argument(
             "--broker", metavar="HOST:PORT", default=None,
             help="broker address (default: $REPRO_BROKER)")
-
-    equivalence = sub.add_parser(
-        "equivalence",
-        help="statistically gate a relaxed backend against scalar",
-        description="Run the KS acceptance harness: seed fan-outs "
-                    "through the scalar and candidate backends, gated "
-                    "per metric (IPC, throughput, Hmean speedup, "
-                    "slow-cycle fraction) on the two-sample KS distance "
-                    "against a calibrated threshold.  Exit status 1 on "
-                    "rejection.")
-    equivalence.add_argument(
-        "--backend", choices=[n for n in BACKEND_NAMES if n != "scalar"],
-        default="vectorized",
-        help="relaxed backend under test (default: vectorized)")
-    equivalence.add_argument(
-        "--seeds", type=_positive_int, default=24, metavar="N",
-        help="fan-out width per side (default 24; 16+ recommended)")
-    equivalence.add_argument(
-        "--policies", default="ICOUNT,DCRA", metavar="P1,P2",
-        help="comma-separated policies to gate (default ICOUNT,DCRA)")
-    equivalence.add_argument(
-        "--threads", default="2,4", metavar="T1,T2",
-        help="comma-separated thread counts (default 2,4)")
-    equivalence.add_argument("--cycles", type=_positive_int, default=10_000)
-    equivalence.add_argument("--warmup", type=int, default=2_000)
-    equivalence.add_argument("--seed", type=int, default=1,
-                             help="reference fan-out root seed")
-    equivalence.add_argument(
-        "--calibration-seed", type=int, default=10_000,
-        help="root of the disjoint scalar fan-out that calibrates the "
-             "null distance (default 10000)")
-    equivalence.add_argument(
-        "--alpha", type=_positive_float, default=0.01,
-        help="significance of the analytic threshold floor "
-             "(default 0.01)")
-    equivalence.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="workers for the fan-outs (default: serial)")
-    equivalence.add_argument(
-        "--executor", choices=["serial", "process", "remote", "broker"],
-        default=None,
-        help="execution backend for the fan-outs")
-    equivalence.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="also write the machine-readable JSON report here")
-    equivalence.set_defaults(func=_cmd_equivalence)
 
     sub.add_parser("policies", help="list policies").set_defaults(
         func=_cmd_policies)
@@ -1050,15 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="result-store mode: 'auto' serves stored results and "
                  "simulates only misses (identical output), 'require' "
                  "fails on any miss (default: off)")
-        sub_parser.add_argument(
-            "--backend", choices=list(BACKEND_NAMES), default="scalar",
-            help="simulation backend: 'batched' runs lockstep groups of "
-                 "same-shape jobs — e.g. a --reps fan-out — through one "
-                 "batched simulator (requires the numpy extra) and is "
-                 "bitwise-identical to 'scalar'; 'vectorized' draws "
-                 "trace randomness in numpy blocks — fastest, but only "
-                 "statistically equivalent (see 'repro equivalence') "
-                 "(default: scalar)")
     for sub_parser in (run_parser, compare_parser, scenario_run):
         sub_parser.add_argument(
             "--broker", metavar="HOST:PORT", default=None,

@@ -44,8 +44,8 @@ Two submission kinds cover every engine flow:
     store-served result is bitwise-identical to a computed one.
 ``"task"``
     An opaque pickled ``(func, item)`` pair — the generic escape hatch
-    that keeps baselines, checkpoint prefixes and batched groups
-    flowing through the same service.
+    that keeps baselines and checkpoint prefixes flowing through the
+    same service.
 
 Queueing is *durable*, *fair* and *bounded* (:class:`FairQueue`):
 
@@ -126,7 +126,6 @@ class QueueEntry:
     job: Optional[object] = None   # decoded SimJob for kind "job"
     store_kind: str = "result"
     spool_path: Optional[Path] = None
-    backend: str = "scalar"        # simulation backend for kind "job"
 
 
 class FairQueue:
@@ -228,13 +227,11 @@ def job_from_spec(spec: dict):
 
     The HTTP facade's submission schema: ``benchmarks`` (list, required)
     plus the optional ``policy``, ``cycles``, ``warmup``, ``seed``,
-    ``interval_cycles``, ``backend`` — the same knobs the CLI exposes.
-    (``backend`` is validated here but carried outside the job: it
-    selects *how* the job simulates, not *what* it is.)  Raises
+    ``interval_cycles`` — the same knobs the CLI exposes.  Raises
     ``ValueError`` on anything malformed, which the facade reports as a
     400 instead of queueing garbage.
     """
-    from repro.harness.engine import SimJob, normalize_backend
+    from repro.harness.engine import SimJob
     from repro.harness.warmup import parse_warmup_spec
 
     if not isinstance(spec, dict):
@@ -246,11 +243,10 @@ def job_from_spec(spec: dict):
         raise ValueError("'benchmarks' must be a non-empty list "
                          "(or 'a+b' string)")
     allowed = {"benchmarks", "policy", "cycles", "warmup", "seed",
-               "interval_cycles", "priority", "backend"}
+               "interval_cycles", "priority"}
     unknown = set(spec) - allowed
     if unknown:
         raise ValueError(f"unknown submission field(s): {sorted(unknown)}")
-    normalize_backend(spec.get("backend"))  # reject bad names with a 400
     warmup = spec.get("warmup", 3_000)
     if isinstance(warmup, str):
         warmup = parse_warmup_spec(warmup)
@@ -642,24 +638,12 @@ class Broker:
         self._running.pop(entry.job_id, None)
         self._unspool(entry)
         self.stats["completed" if ok else "failed"] += 1
-        meta = None
-        if ok and entry.kind == "job" and entry.backend != "scalar" \
-                and isinstance(value, tuple) and len(value) == 2:
-            # Backend dispatch runs run_job_backend on the worker, which
-            # returns (result, meta): unwrap, store under the meta's
-            # equivalence tag, and surface any scalar fallback loudly.
-            value, meta = value
-            if meta.get("fallback_reason"):
-                source = (f"{source} (scalar fallback: "
-                          f"{meta['fallback_reason']})")
         if ok and entry.kind == "job" and entry.job is not None:
             try:
-                equivalence = meta["equivalence"] if meta else None
-                self._store.put(entry.job, value, entry.store_kind,
-                                equivalence)
+                self._store.put(entry.job, value, entry.store_kind)
             except Exception:  # noqa: BLE001 - the store is best-effort
                 pass
-        self._record_detached(entry, ok, value, source, meta)
+        self._record_detached(entry, ok, value, source)
         channel = self._clients.get(entry.client)
         if channel is not None and not channel.closed:
             channel.send(("result", entry.job_id, ok, value, source))
@@ -719,8 +703,7 @@ class Broker:
                 job=spec.get("job"), payload=spec.get("payload"),
                 priority=int(spec.get("priority", 0)),
                 store_kind=spec.get("store_kind", "result"),
-                job_id=submission_id,
-                backend=spec.get("backend"))
+                job_id=submission_id)
         except BrokerRejection as error:
             channel.send(("rejected", submission_id, str(error)))
             return
@@ -732,19 +715,13 @@ class Broker:
     async def _admit(self, client: str, kind: str, job, payload,
                      priority: int, store_kind: str = "result",
                      job_id: Optional[str] = None,
-                     spool_path: Optional[Path] = None,
-                     backend=None):
+                     spool_path: Optional[Path] = None):
         """Admit one submission: store answer, queue entry, or reject.
 
         Returns the stored payload when the submission is warm (the
         caller delivers it with ``source="store"``), or None when an
         entry was queued.  Raises :class:`BrokerRejection` on
         backpressure or a malformed spec.
-
-        ``backend`` selects the simulation backend for kind ``"job"``.
-        The store probe is equivalence-aware: a relaxed request is
-        served from its own tag *or* from a bitwise entry (strictly
-        stronger), but a bitwise request never sees relaxed results.
         """
         self.stats["submitted"] += 1
         if kind not in ("job", "task"):
@@ -754,19 +731,8 @@ class Broker:
             if job is None:
                 self.stats["rejected"] += 1
                 raise BrokerRejection("kind 'job' needs a SimJob")
-            from repro.harness.engine import (
-                normalize_backend,
-                run_job,
-                run_job_backend,
-            )
-            from repro.harness.results import backend_equivalence
-
             try:
-                backend = normalize_backend(backend)
-                equivalence = backend_equivalence(backend)
-                cached = self._store.get(job, store_kind, equivalence)
-                if cached is None and equivalence != "bitwise":
-                    cached = self._store.get(job, store_kind)
+                cached = self._store.get(job, store_kind)
             except (ValueError, TypeError, AttributeError) as error:
                 # A malformed job or unknown payload kind must reject
                 # the submission, never kill the connection handler.
@@ -776,15 +742,12 @@ class Broker:
             if cached is not None:
                 self.stats["store_hits"] += 1
                 return cached
-            if backend == "scalar":
-                payload = pickle.dumps((run_job, job))
-            else:
-                payload = pickle.dumps((run_job_backend, (job, backend)))
-        else:
-            backend = "scalar"
-            if not isinstance(payload, bytes):
-                self.stats["rejected"] += 1
-                raise BrokerRejection("kind 'task' needs a pickled payload")
+            from repro.harness.engine import run_job
+
+            payload = pickle.dumps((run_job, job))
+        elif not isinstance(payload, bytes):
+            self.stats["rejected"] += 1
+            raise BrokerRejection("kind 'task' needs a pickled payload")
         if self.queue.full:
             self.stats["rejected"] += 1
             raise BrokerRejection(
@@ -795,7 +758,7 @@ class Broker:
             job_id=job_id or f"j{next(self._job_ids)}", client=client,
             kind=kind, payload=payload, priority=priority,
             seq=next(self._seq), job=job, store_kind=store_kind,
-            spool_path=spool_path, backend=backend)
+            spool_path=spool_path)
         if entry.spool_path is None:
             self._spool(entry)
         async with self._cond:
@@ -805,29 +768,21 @@ class Broker:
 
     # -- detached jobs (HTTP facade, CLI submit, spool recovery) ----------
 
-    async def submit_detached(self, job, priority: int = 0,
-                              backend=None) -> dict:
+    async def submit_detached(self, job, priority: int = 0) -> dict:
         """Submit one SimJob with no connected client (facade path).
 
         Returns the job's record: ``state`` is ``"done"`` immediately on
         a store hit, else ``"queued"`` — poll :meth:`job_record` (or the
-        HTTP ``/status/<id>``) for completion.  ``backend`` picks the
-        simulation backend; the record's ``backend``/``equivalence``/
-        ``fallback`` fields report what actually ran.
+        HTTP ``/status/<id>``) for completion.
         """
-        from repro.harness.engine import normalize_backend
-
         job_id = f"d{next(self._job_ids)}"
         record = {"job": job_id, "state": "queued", "result": None,
                   "error": None, "source": None,
-                  "token": _job_token_of(job),
-                  "backend": normalize_backend(backend),
-                  "equivalence": None, "fallback": None}
+                  "token": _job_token_of(job)}
         self._detached_jobs[job_id] = record
         try:
             cached = await self._admit(DETACHED_CLIENT, "job", job, None,
-                                       priority, job_id=job_id,
-                                       backend=backend)
+                                       priority, job_id=job_id)
         except BrokerRejection as error:
             record.update(state="rejected", error=str(error))
             return dict(record)
@@ -843,14 +798,10 @@ class Broker:
             record["state"] = state
 
     def _record_detached(self, entry: QueueEntry, ok: bool, value,
-                         source: str, meta: Optional[dict] = None) -> None:
+                         source: str) -> None:
         record = self._detached_jobs.get(entry.job_id)
         if record is None:
             return
-        if meta is not None:
-            record.update(backend=meta.get("executed_backend"),
-                          equivalence=meta.get("equivalence"),
-                          fallback=meta.get("fallback_reason"))
         if ok:  # result before state — see submit_detached
             record.update(result=value, source=source, state="done")
         else:
@@ -873,8 +824,7 @@ class Broker:
             tmp.write_bytes(pickle.dumps({
                 "job_id": entry.job_id, "kind": entry.kind,
                 "payload": entry.payload, "priority": entry.priority,
-                "job": entry.job, "store_kind": entry.store_kind,
-                "backend": entry.backend}))
+                "job": entry.job, "store_kind": entry.store_kind}))
             os.replace(tmp, path)
             entry.spool_path = path
         except OSError:
@@ -927,13 +877,11 @@ class Broker:
                 kind=record["kind"], payload=record["payload"],
                 priority=record.get("priority", 0), seq=next(self._seq),
                 job=job, store_kind=record.get("store_kind", "result"),
-                spool_path=path, backend=record.get("backend", "scalar"))
+                spool_path=path)
             self._detached_jobs[entry.job_id] = {
                 "job": entry.job_id, "state": "queued", "result": None,
                 "error": None, "source": None,
-                "token": _job_token_of(job) if job is not None else None,
-                "backend": entry.backend, "equivalence": None,
-                "fallback": None}
+                "token": _job_token_of(job) if job is not None else None}
             self.queue.push(entry, requeue=True)
             self.stats["recovered"] += 1
         if self.stats["recovered"]:
@@ -1071,9 +1019,6 @@ def _make_facade_handler():
 
                     self._reply(200, {
                         "job": record["job"], "source": record["source"],
-                        "backend": record.get("backend"),
-                        "equivalence": record.get("equivalence"),
-                        "fallback": record.get("fallback"),
                         "result": result_to_payload(record["result"])})
                 elif record["state"] == "failed":
                     self._reply(500, {"job": record["job"],
@@ -1096,8 +1041,7 @@ def _make_facade_handler():
                 self._reply(400, {"error": str(error)})
                 return
             record = self._on_loop(broker.submit_detached, job,
-                                   int(spec.get("priority", 0)),
-                                   spec.get("backend"))
+                                   int(spec.get("priority", 0)))
             if record["state"] == "rejected":
                 self._reply(429, _public_record(record))
                 return
@@ -1105,12 +1049,8 @@ def _make_facade_handler():
 
     def _public_record(record: dict) -> dict:
         """The JSON-safe view of a job record (result via /result)."""
-        public = {key: record[key]
-                  for key in ("job", "state", "source", "error", "token")}
-        public.update(backend=record.get("backend"),
-                      equivalence=record.get("equivalence"),
-                      fallback=record.get("fallback"))
-        return public
+        return {key: record[key]
+                for key in ("job", "state", "source", "error", "token")}
 
     _FACADE_HANDLER_CLASS = Handler
     return Handler
@@ -1208,20 +1148,12 @@ class BrokerClient:
             send_message(self._sock, pickle.dumps(message))
 
     def submit(self, submission_id: str, kind: str, job=None, payload=None,
-               priority: int = 0, store_kind: str = "result",
-               backend=None) -> None:
-        """Fire one submission; replies arrive on its opened route.
-
-        ``backend`` selects the simulation backend for kind ``"job"``
-        (None/"scalar", "batched", "vectorized").  If the chosen worker
-        lacks numpy the job degrades loudly to scalar: the reply's
-        ``source`` names the fallback and the result is stored (and
-        tagged) bitwise.
-        """
+               priority: int = 0, store_kind: str = "result") -> None:
+        """Fire one submission; replies arrive on its opened route."""
         self._send(("submit", {
             "id": submission_id, "kind": kind, "job": job,
             "payload": payload, "priority": priority,
-            "store_kind": store_kind, "backend": backend}))
+            "store_kind": store_kind}))
 
     def status(self, timeout: float = 30.0) -> dict:
         """The broker's live counters (see :meth:`Broker.status`)."""

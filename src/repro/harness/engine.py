@@ -67,7 +67,6 @@ from typing import (
 from repro.harness.executors import Executor, make_executor
 from repro.harness.results import (
     ResultStore,
-    backend_equivalence,
     normalize_reuse,
     resolve_store,
 )
@@ -165,49 +164,6 @@ def derive_seeds(base_seed: int, reps: int) -> List[int]:
     return [derive_seed(base_seed, rep) for rep in range(reps)]
 
 
-#: Names the ``backend=`` parameter of the job-list entry points (and
-#: the CLI ``--backend`` flag) accepts.
-BACKEND_NAMES = ("scalar", "batched", "vectorized")
-
-
-def normalize_backend(backend) -> str:
-    """Canonical simulation-backend name; None means scalar."""
-    if backend is None:
-        return "scalar"
-    if backend not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown simulation backend {backend!r}; "
-            f"expected one of {', '.join(BACKEND_NAMES)}")
-    return backend
-
-
-def _compute_jobs(jobs: Sequence[SimJob], max_workers: int, executor,
-                  progress, backend: str) -> List[SimulationResult]:
-    """The engine's compute phase, dispatched by backend.
-
-    ``scalar`` maps :func:`run_job` over the jobs; ``batched`` routes
-    the list through :func:`repro.batch.groups.run_jobs_batched`, which
-    runs lockstep-compatible groups through one
-    :class:`~repro.batch.core.BatchedSimulator` each and falls back to
-    scalar execution per job otherwise.  Both produce bitwise-identical
-    results for every job list — the backend only changes speed.
-    ``vectorized`` routes through
-    :func:`repro.batch.vectorized.run_jobs_vectorized`, whose results
-    are only *statistically* equivalent (see
-    :mod:`repro.harness.equivalence`); lane-incompatible jobs fall back
-    to scalar with a loud :class:`RuntimeWarning`.
-    """
-    if backend == "batched":
-        # Imported lazily: repro.batch requires numpy (optional extra)
-        # and raises a clear install hint when it is missing.
-        from repro.batch.groups import run_jobs_batched
-        return run_jobs_batched(jobs, max_workers, executor, progress)
-    if backend == "vectorized":
-        from repro.batch.vectorized import run_jobs_vectorized
-        return run_jobs_vectorized(jobs, max_workers, executor, progress)
-    return parallel_map(run_job, jobs, max_workers, executor, progress)
-
-
 def run_job(job: SimJob) -> SimulationResult:
     """Execute one job in the current process.
 
@@ -226,58 +182,6 @@ def run_job(job: SimJob) -> SimulationResult:
                           job.cycles, job.warmup, job.seed,
                           checkpoint=job.checkpoint,
                           warmup_policy=job.warmup_policy)
-
-
-def run_job_backend(item: Tuple[SimJob, Optional[str]]) \
-        -> Tuple[SimulationResult, dict]:
-    """Execute one ``(job, backend)`` pair, returning ``(result, meta)``.
-
-    The broker's worker function: queue entries carry the backend the
-    submitter requested, and ``meta`` reports what actually happened —
-    ``backend`` (requested), ``executed_backend`` (what ran),
-    ``equivalence`` (the result's store tag, see
-    :func:`~repro.harness.results.backend_equivalence`) and, when the
-    request was not honoured, a ``fallback_reason``.  A batched or
-    vectorized request on a worker without numpy degrades **loudly** to
-    scalar: a :class:`RuntimeWarning` here, the fallback recorded in the
-    reply metadata, and the result tagged bitwise (which it then is).
-    """
-    import warnings
-
-    from repro.harness.results import backend_equivalence
-
-    job, backend = item
-    backend = normalize_backend(backend)
-    meta = {"backend": backend, "executed_backend": backend,
-            "equivalence": backend_equivalence(backend)}
-    if backend != "scalar":
-        try:
-            if backend == "batched":
-                from repro.batch.groups import run_jobs_batched as runner
-            else:
-                from repro.batch.vectorized import (
-                    fallback_reason,
-                    run_jobs_vectorized as runner,
-                )
-                reason = fallback_reason(job)
-                if reason is not None:
-                    # The scalar fallback's result is bitwise — tag it
-                    # honestly (bitwise satisfies any relaxed request).
-                    meta["executed_backend"] = "scalar"
-                    meta["equivalence"] = "bitwise"
-                    meta["fallback_reason"] = reason
-        except ImportError as error:
-            meta["executed_backend"] = "scalar"
-            meta["equivalence"] = "bitwise"
-            meta["fallback_reason"] = f"numpy unavailable: {error}"
-            warnings.warn(
-                f"backend {backend!r} requested but numpy is not "
-                f"installed on this worker; running scalar instead "
-                f"(results are bitwise, not {backend})", RuntimeWarning,
-                stacklevel=2)
-            return run_job(job), meta
-        return runner([job])[0], meta
-    return run_job(job), meta
 
 
 def _resolve_executor(executor, max_workers: int) -> Tuple[Executor, bool]:
@@ -365,8 +269,7 @@ def parallel_map_streaming(func: Callable, items: Sequence,
 
 
 def _store_partition(jobs: Sequence[SimJob], reuse: str,
-                     store: Optional[ResultStore], kind: str,
-                     equivalence: Optional[str] = None) \
+                     store: Optional[ResultStore], kind: str) \
         -> Tuple[ResultStore, List, List[int]]:
     """Split jobs into stored results and indices still to compute.
 
@@ -374,17 +277,13 @@ def _store_partition(jobs: Sequence[SimJob], reuse: str,
     stored payload (or None) per job and ``missing`` lists the indices
     to compute.  With ``reuse="require"`` a missing entry raises
     :class:`~repro.harness.results.ResultStoreMiss` instead.
-    ``equivalence`` scopes the lookup to one equivalence class (see
-    :func:`~repro.harness.results.backend_equivalence`): a vectorized
-    run never serves — or is served — a bitwise entry.
     """
     store = resolve_store(store)
     results: List = [None] * len(jobs)
     missing: List[int] = []
     for index, job in enumerate(jobs):
-        cached = (store.require(job, kind, equivalence)
-                  if reuse == "require"
-                  else store.get(job, kind, equivalence))
+        cached = (store.require(job, kind) if reuse == "require"
+                  else store.get(job, kind))
         if cached is not None:
             results[index] = cached
         else:
@@ -427,8 +326,7 @@ def map_jobs_stored(func: Callable, jobs: Sequence[SimJob], kind: str,
 
 def run_jobs(jobs: Iterable[SimJob], max_workers: int = 1,
              executor=None, progress=None, reuse=None,
-             store: Optional[ResultStore] = None,
-             backend=None) -> List[SimulationResult]:
+             store: Optional[ResultStore] = None) -> List[SimulationResult]:
     """Execute jobs and return their results in submission order.
 
     Args:
@@ -447,84 +345,14 @@ def run_jobs(jobs: Iterable[SimJob], max_workers: int = 1,
             behaves identically on every executor.
         store: the :class:`~repro.harness.results.ResultStore` to use
             (default: the process-wide instance).
-        backend: simulation backend — ``"scalar"``/None (default) runs
-            each job independently; ``"batched"`` runs
-            lockstep-compatible groups (same workload/config/cycles/
-            warm-up, differing seed or policy — every ``reps`` fan-out)
-            through one :class:`~repro.batch.core.BatchedSimulator`,
-            falling back to scalar per job otherwise.  Scalar and
-            batched results are bitwise-identical, so their result-store
-            keys and cached entries are shared.  ``"vectorized"`` trades
-            bitwise equality for speed (numpy block-drawn trace
-            randomness, accepted statistically by
-            :mod:`repro.harness.equivalence`); its results live under
-            their own store equivalence tag and are never served to —
-            or from — a bitwise request.
     """
-    jobs = list(jobs)
-    backend = normalize_backend(backend)
-    mode = normalize_reuse(reuse)
-    if mode == "off":
-        return _compute_jobs(jobs, max_workers, executor, progress, backend)
-    equivalence = backend_equivalence(backend)
-    store, results, missing = _store_partition(jobs, mode, store, "result",
-                                               equivalence)
-    if missing:
-        remapped = None
-        if progress is not None:
-            remapped = lambda i, event: progress(missing[i], event)  # noqa: E731
-        computed = _compute_jobs([jobs[i] for i in missing], max_workers,
-                                 executor, remapped, backend)
-        for index, value in zip(missing, computed):
-            store.put(jobs[index], value, "result", equivalence)
-            results[index] = value
-    return results
-
-
-def _stream_jobs(jobs: Sequence[SimJob], max_workers: int, executor,
-                 progress, backend: str) \
-        -> Iterator[Tuple[int, SimulationResult]]:
-    """Backend-dispatched streaming compute phase.
-
-    Scalar streams per job; batched and vectorized stream per *group*
-    (a batch's lanes finish together, so its jobs are yielded together
-    the moment the group completes, each under its own submission
-    index).
-    """
-    if backend == "batched":
-        from repro.batch.groups import _run_group, group_jobs
-
-        groups = group_jobs(jobs)
-        run_group = _run_group
-    elif backend == "vectorized":
-        from repro.batch.groups import group_jobs
-        from repro.batch.vectorized import (
-            _run_group_vectorized,
-            vector_key,
-            warn_scalar_fallbacks,
-        )
-
-        warn_scalar_fallbacks(jobs)
-        groups = group_jobs(jobs, key=vector_key)
-        run_group = _run_group_vectorized
-    else:
-        yield from parallel_map_streaming(run_job, jobs, max_workers,
-                                          executor, progress)
-        return
-    items = [tuple(jobs[i] for i in group) for group in groups]
-    remapped = None
-    if progress is not None:
-        remapped = lambda g, event: progress(groups[g][0], event)  # noqa: E731
-    for position, output in parallel_map_streaming(
-            run_group, items, max_workers, executor, remapped):
-        for index, result in zip(groups[position], output):
-            yield index, result
+    return map_jobs_stored(run_job, list(jobs), "result", max_workers,
+                           executor, progress, reuse, store)
 
 
 def run_jobs_streaming(jobs: Iterable[SimJob], max_workers: int = 1,
                        executor=None, progress=None, reuse=None,
-                       store: Optional[ResultStore] = None,
-                       backend=None) \
+                       store: Optional[ResultStore] = None) \
         -> Iterator[Tuple[int, SimulationResult]]:
     """Execute jobs, yielding ``(index, result)`` as each completes.
 
@@ -533,20 +361,15 @@ def run_jobs_streaming(jobs: Iterable[SimJob], max_workers: int = 1,
     finishes them instead of waiting for the whole sweep.  Sorting the
     pairs by index reproduces the :func:`run_jobs` list bitwise.  With
     ``reuse`` enabled, stored results are yielded first (in job order),
-    then the computed misses stream in completion order.  ``backend``
-    selects the simulation backend as in :func:`run_jobs`; batched
-    groups complete (and stream) as a unit.
+    then the computed misses stream in completion order.
     """
     jobs = list(jobs)
-    backend = normalize_backend(backend)
     mode = normalize_reuse(reuse)
     if mode == "off":
-        yield from _stream_jobs(jobs, max_workers, executor, progress,
-                                backend)
+        yield from parallel_map_streaming(run_job, jobs, max_workers,
+                                          executor, progress)
         return
-    equivalence = backend_equivalence(backend)
-    store_, results, missing = _store_partition(jobs, mode, store, "result",
-                                                equivalence)
+    store_, results, missing = _store_partition(jobs, mode, store, "result")
     for index, value in enumerate(results):
         if value is not None:
             yield index, value
@@ -555,10 +378,10 @@ def run_jobs_streaming(jobs: Iterable[SimJob], max_workers: int = 1,
     remapped = None
     if progress is not None:
         remapped = lambda i, event: progress(missing[i], event)  # noqa: E731
-    for position, value in _stream_jobs(
-            [jobs[i] for i in missing], max_workers, executor, remapped,
-            backend):
-        store_.put(jobs[missing[position]], value, "result", equivalence)
+    for position, value in parallel_map_streaming(
+            run_job, [jobs[i] for i in missing], max_workers, executor,
+            remapped):
+        store_.put(jobs[missing[position]], value, "result")
         yield missing[position], value
 
 
@@ -631,17 +454,14 @@ class ReplicatedRun:
 
 def run_replicated(job: SimJob, reps: int, max_workers: int = 1,
                    executor=None, progress=None, reuse=None,
-                   store: Optional[ResultStore] = None,
-                   backend=None) -> ReplicatedRun:
+                   store: Optional[ResultStore] = None) -> ReplicatedRun:
     """Run a job ``reps`` times with derived seeds (see
     :func:`replicate_job`) and collect the replications.  ``progress``
     receives ``(replica_index, event)`` for interval-mode jobs, and
-    ``reuse``/``store``/``backend`` are as in :func:`run_jobs` — a
-    replication fan-out is the batched backend's ideal input: all
-    replicas share one machine shape and differ only in seed."""
+    ``reuse``/``store`` wire the result store, as in :func:`run_jobs`."""
     return ReplicatedRun(
         job, run_jobs(replicate_job(job, reps), max_workers, executor,
-                      progress, reuse, store, backend=backend))
+                      progress, reuse, store))
 
 
 def _baseline_item(item: Tuple[str, SMTConfig, int, "WarmupSpec", int]) \

@@ -728,8 +728,8 @@ class BrokerExecutor(Executor):
     broker answer warm submissions straight from its result store —
     zero simulation, bitwise-identical payload (store round-trips are
     exact).  Anything else ships as an opaque ``(func, item)`` task
-    blob, so baselines, checkpoint prefixes and batched groups run
-    through the same service unchanged.
+    blob, so baselines and checkpoint prefixes run through the same
+    service unchanged.
 
     Determinism: results are reassembled by index exactly as with every
     other backend, so ``map`` output is bitwise-identical to

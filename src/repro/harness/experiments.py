@@ -488,7 +488,6 @@ def _scenario_comparison(
     backend=None,
     progress=None,
     reuse=None,
-    sim_backend=None,
 ) -> List[CellResult]:
     """Run one concrete (no-sweep) comparison scenario and aggregate.
 
@@ -501,12 +500,6 @@ def _scenario_comparison(
     (:class:`~repro.harness.scenario.JobMeta`), so a ``cells`` list
     out of sync with ``scenario.workloads`` is a loud error, never a
     silent misattribution.
-
-    ``sim_backend`` picks the simulation backend for the policy jobs
-    (``None``/``"scalar"``, ``"batched"``, or ``"vectorized"``; the
-    single-thread baselines always run bitwise so Hmean denominators
-    stay backend-independent).  ``backend`` is the *executor* the jobs
-    run on — the two are orthogonal.
     """
     config = scenario.config or SMTConfig()
     reps = scenario.reps
@@ -522,8 +515,7 @@ def _scenario_comparison(
     singles = ensure_baselines_sweep(all_benchmarks, seeds, config,
                                      scenario.cycles, scenario.warmup,
                                      max_workers=jobs, executor=backend)
-    results = run_jobs(compiled.jobs, jobs, backend, progress, reuse,
-                       backend=sim_backend)
+    results = run_jobs(compiled.jobs, jobs, backend, progress, reuse)
     by_key = {(meta.rep, meta.workload, meta.policy_index): result
               for meta, result in zip(compiled.meta, results)}
 
@@ -588,7 +580,6 @@ def compare_policies(
     interval_cycles: Optional[int] = None,
     progress=None,
     reuse=None,
-    backend=None,
 ) -> List[CellResult]:
     """Evaluate policies over workload cells, averaging the four groups.
 
@@ -616,21 +607,14 @@ def compare_policies(
     ``reuse`` wires the content-addressed result store: ``"auto"``
     serves stored job results and simulates only the misses (identical
     output — jobs are deterministic), ``"require"`` raises on any miss.
-
-    ``backend`` selects the simulation backend for the policy jobs
-    (``"scalar"``/``"batched"`` bitwise, ``"vectorized"`` statistically
-    equivalent — see :mod:`repro.harness.equivalence`); single-thread
-    baselines always run bitwise.
     """
     scenario = comparison_scenario(policies, cells, config, cycles,
                                    warmup, seed, reps, interval_cycles)
-    sim_backend = backend
-    # One executor for both engine phases (a named 'remote' executor
+    # One backend for both engine phases (a named 'remote' executor
     # spawns its worker fleet once, not once per phase).
-    with executor_scope(executor, jobs) as pool:
-        return _scenario_comparison(scenario, cells, jobs, pool,
-                                    progress, reuse,
-                                    sim_backend=sim_backend)
+    with executor_scope(executor, jobs) as backend:
+        return _scenario_comparison(scenario, cells, jobs, backend,
+                                    progress, reuse)
 
 
 @dataclass
@@ -693,15 +677,12 @@ def figure4_dcra_vs_static(
     reps: int = 1,
     executor=None,
     reuse=None,
-    backend=None,
 ) -> List[ImprovementRow]:
     """Regenerate Figure 4: DCRA improvement over SRA per workload cell."""
     scenario = figure4_scenario(cells, cycles, warmup, seed, reps)
-    sim_backend = backend
-    with executor_scope(executor, jobs) as pool:
-        results = _scenario_comparison(scenario, cells, jobs, pool,
-                                       reuse=reuse,
-                                       sim_backend=sim_backend)
+    with executor_scope(executor, jobs) as backend:
+        results = _scenario_comparison(scenario, cells, jobs, backend,
+                                       reuse=reuse)
     return improvements_over(results)
 
 
@@ -727,15 +708,12 @@ def figure5_policy_comparison(
     reps: int = 1,
     executor=None,
     reuse=None,
-    backend=None,
 ) -> List[CellResult]:
     """Regenerate Figure 5: throughput and Hmean for the fetch policies."""
     scenario = figure5_scenario(cells, cycles, warmup, seed, reps)
-    sim_backend = backend
-    with executor_scope(executor, jobs) as pool:
-        return _scenario_comparison(scenario, cells, jobs, pool,
-                                    reuse=reuse,
-                                    sim_backend=sim_backend)
+    with executor_scope(executor, jobs) as backend:
+        return _scenario_comparison(scenario, cells, jobs, backend,
+                                    reuse=reuse)
 
 
 def format_improvements(rows: Sequence[ImprovementRow]) -> str:
@@ -815,7 +793,6 @@ def _sweep_rows(
     jobs: int = 1,
     executor=None,
     reuse=None,
-    sim_backend=None,
 ) -> List[SweepRow]:
     """Aggregate a swept comparison scenario into Figure 6/7 rows.
 
@@ -824,11 +801,10 @@ def _sweep_rows(
     point to the integer the x-axis plots.
     """
     rows: List[SweepRow] = []
-    with executor_scope(executor, jobs) as pool:
+    with executor_scope(executor, jobs) as backend:
         for point in scenario.grid_points():
             results = _scenario_comparison(point.scenario, cells, jobs,
-                                           pool, reuse=reuse,
-                                           sim_backend=sim_backend)
+                                           backend, reuse=reuse)
             improvements = _mean_hmean_improvements(results)
             for baseline, value in sorted(improvements.items()):
                 rows.append(SweepRow(parameter_of(point), baseline, value))
@@ -865,14 +841,13 @@ def figure6_register_sweep(
     reps: int = 1,
     executor=None,
     reuse=None,
-    backend=None,
 ) -> List[SweepRow]:
     """Regenerate Figure 6: Hmean improvement vs register file size."""
     scenario = figure6_scenario(register_sizes, cells, cycles, warmup,
                                 seed, reps)
     return _sweep_rows(scenario, cells,
                        lambda point: point.get("config.registers"),
-                       jobs, executor, reuse, sim_backend=backend)
+                       jobs, executor, reuse)
 
 
 # --------------------------------------------------------------------------
@@ -936,14 +911,13 @@ def figure7_latency_sweep(
     reps: int = 1,
     executor=None,
     reuse=None,
-    backend=None,
 ) -> List[SweepRow]:
     """Regenerate Figure 7: Hmean improvement vs memory latency."""
     scenario = figure7_scenario(latencies, cells, cycles, warmup, seed,
                                 reps)
     return _sweep_rows(scenario, cells,
                        lambda point: point.get("config.latencies")[0],
-                       jobs, executor, reuse, sim_backend=backend)
+                       jobs, executor, reuse)
 
 
 def format_sweep(rows: Sequence[SweepRow], parameter_name: str) -> str:
@@ -1059,14 +1033,9 @@ class ArtifactDef:
         render: renderer producing the artefact's formatted text;
             keyword arguments ``jobs``, ``executor``, ``reps``,
             ``reuse``, ``warmup``/``cycles``/``seed`` (None = the
-            artefact's published budget), ``interval_cycles`` and
-            ``backend`` (simulation backend for the policy jobs) are
+            artefact's published budget) and ``interval_cycles`` are
             accepted by every entry (artefacts without replication or
-            interval knobs ignore ``reps`` / ``interval_cycles``;
-            artefacts outside :data:`BACKEND_AWARE_ARTIFACTS` run
-            scalar regardless of ``backend`` — their jobs are
-            hook-instrumented or heterogeneous, which no batch lane
-            supports).
+            interval knobs ignore ``reps`` / ``interval_cycles``).
     """
 
     key: str
@@ -1106,7 +1075,7 @@ def figures45_scenario(
 
 def _render_figure2(jobs=1, executor=None, reps=1, reuse=None,
                     warmup=None, interval_cycles=None, cycles=None,
-                    seed=None, backend=None) -> str:
+                    seed=None) -> str:
     return format_figure2(figure2_resource_sensitivity(
         cycles=_pick(cycles, 12_000), warmup=_pick(warmup, 3_000),
         seed=_pick(seed, 7), jobs=jobs, executor=executor, reuse=reuse))
@@ -1114,7 +1083,7 @@ def _render_figure2(jobs=1, executor=None, reps=1, reuse=None,
 
 def _render_table3(jobs=1, executor=None, reps=1, reuse=None,
                    warmup=None, interval_cycles=None, cycles=None,
-                   seed=None, backend=None) -> str:
+                   seed=None) -> str:
     return format_table3(table3_miss_rates(
         cycles=_pick(cycles, 15_000), warmup=_pick(warmup, 4_000),
         seed=_pick(seed, 3), jobs=jobs, executor=executor, reuse=reuse))
@@ -1122,7 +1091,7 @@ def _render_table3(jobs=1, executor=None, reps=1, reuse=None,
 
 def _render_table5(jobs=1, executor=None, reps=1, reuse=None,
                    warmup=None, interval_cycles=None, cycles=None,
-                   seed=None, backend=None) -> str:
+                   seed=None) -> str:
     return format_table5(table5_phase_distribution(
         cycles=_pick(cycles, SWEEP_BUDGET_CYCLES),
         warmup=_pick(warmup, SWEEP_BUDGET_WARMUP),
@@ -1131,16 +1100,14 @@ def _render_table5(jobs=1, executor=None, reps=1, reuse=None,
 
 def _render_figures45(jobs=1, executor=None, reps=1, reuse=None,
                       warmup=None, interval_cycles=None, cycles=None,
-                      seed=None, backend=None) -> str:
+                      seed=None) -> str:
     scenario = figures45_scenario(
         cycles=_pick(cycles, FULL_BUDGET_CYCLES),
         warmup=_pick(warmup, FULL_BUDGET_WARMUP),
         seed=_pick(seed, 1), reps=reps, interval_cycles=interval_cycles)
-    sim_backend = backend
-    with executor_scope(executor, jobs) as pool:
-        results = _scenario_comparison(scenario, ALL_CELLS, jobs, pool,
-                                       reuse=reuse,
-                                       sim_backend=sim_backend)
+    with executor_scope(executor, jobs) as backend:
+        results = _scenario_comparison(scenario, ALL_CELLS, jobs, backend,
+                                       reuse=reuse)
     lines = [format_cell_results(results), ""]
     rows = improvements_over(results)
     lines.append(format_improvements(rows))
@@ -1157,27 +1124,27 @@ def _render_figures45(jobs=1, executor=None, reps=1, reuse=None,
 
 def _render_figure6(jobs=1, executor=None, reps=1, reuse=None,
                     warmup=None, interval_cycles=None, cycles=None,
-                    seed=None, backend=None) -> str:
+                    seed=None) -> str:
     return format_sweep(figure6_register_sweep(
         cycles=_pick(cycles, SWEEP_BUDGET_CYCLES),
         warmup=_pick(warmup, SWEEP_BUDGET_WARMUP),
         seed=_pick(seed, 1), jobs=jobs, reps=reps,
-        executor=executor, reuse=reuse, backend=backend), "registers")
+        executor=executor, reuse=reuse), "registers")
 
 
 def _render_figure7(jobs=1, executor=None, reps=1, reuse=None,
                     warmup=None, interval_cycles=None, cycles=None,
-                    seed=None, backend=None) -> str:
+                    seed=None) -> str:
     return format_sweep(figure7_latency_sweep(
         cycles=_pick(cycles, SWEEP_BUDGET_CYCLES),
         warmup=_pick(warmup, SWEEP_BUDGET_WARMUP),
         seed=_pick(seed, 1), jobs=jobs, reps=reps,
-        executor=executor, reuse=reuse, backend=backend), "latency")
+        executor=executor, reuse=reuse), "latency")
 
 
 def _render_text52(jobs=1, executor=None, reps=1, reuse=None,
                    warmup=None, interval_cycles=None, cycles=None,
-                   seed=None, backend=None) -> str:
+                   seed=None) -> str:
     return format_text52(text52_frontend_and_mlp(
         cycles=_pick(cycles, SWEEP_BUDGET_CYCLES),
         warmup=_pick(warmup, SWEEP_BUDGET_WARMUP),
@@ -1191,13 +1158,6 @@ def _sweep_budget(builder: Callable[..., Scenario]) -> Callable[[], Scenario]:
                        warmup=SWEEP_BUDGET_WARMUP)
     return build
 
-
-#: Artefact keys whose renderers honour the ``backend`` kwarg.  The
-#: rest (fig2/table3/text52 instrument per-cycle hooks, table5 stores
-#: phase timelines) run their jobs scalar whatever was asked; callers
-#: that set a backend should say so out loud (run_all_experiments.py
-#: prints which artefacts ran scalar regardless).
-BACKEND_AWARE_ARTIFACTS = ("figs45", "fig6", "fig7")
 
 #: Every simulation-backed paper artefact, in suite order, each with
 #: the scenario its renderer actually runs.  (Table 1 is exact

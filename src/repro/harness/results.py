@@ -78,38 +78,6 @@ RESULT_STORE_VERSION = 1
 #: Reuse modes accepted everywhere a ``reuse`` parameter appears.
 REUSE_MODES = ("off", "auto", "require")
 
-#: Equivalence classes a stored result can belong to.  ``"bitwise"``
-#: covers the scalar and batched backends, whose outputs are identical
-#: byte for byte; relaxed backends store under their own tag.
-EQUIVALENCE_TAGS = ("bitwise", "vectorized")
-
-
-def backend_equivalence(backend) -> str:
-    """The equivalence class of a simulation backend's results.
-
-    The scalar and batched backends produce bitwise-identical results
-    and therefore share store entries; the vectorized backend's results
-    are only *statistically* equivalent (same metric distributions over
-    seeds, KS-gated by :mod:`repro.harness.equivalence`) and live under
-    their own tag — a relaxed result must never be served to a caller
-    who asked for a bitwise one, and vice versa.
-    """
-    if backend in (None, "scalar", "batched"):
-        return "bitwise"
-    if backend == "vectorized":
-        return "vectorized"
-    raise ValueError(f"unknown simulation backend {backend!r}")
-
-
-def normalize_equivalence(equivalence) -> str:
-    """Validate an ``equivalence`` argument; None means ``"bitwise"``."""
-    tag = "bitwise" if equivalence is None else equivalence
-    if tag not in EQUIVALENCE_TAGS:
-        raise ValueError(
-            f"unknown equivalence tag {equivalence!r} "
-            f"(expected one of {EQUIVALENCE_TAGS})")
-    return tag
-
 _fingerprint_cache: Optional[str] = None
 
 
@@ -408,37 +376,16 @@ class ResultStore:
         return base / "results"
 
     @staticmethod
-    def key_for(job: "SimJob", kind: str = "result",
-                equivalence=None) -> str:
-        """Content key of one job's stored payload.
-
-        ``equivalence`` selects the result's equivalence class (see
-        :func:`backend_equivalence`).  Bitwise keys are byte-stable —
-        entries written before the tag existed stay valid — while
-        relaxed tags append an extra key part, so a vectorized result
-        can never collide with (or be served for) a bitwise request.
-        """
+    def key_for(job: "SimJob", kind: str = "result") -> str:
+        """Content key of one job's stored payload."""
         if kind not in _PAYLOAD_CODECS:
             raise ValueError(f"unknown payload kind {kind!r}")
-        tag = normalize_equivalence(equivalence)
-        parts = [f"v{RESULT_STORE_VERSION}", source_fingerprint(),
-                 kind, job_token(job)]
-        if tag != "bitwise":
-            parts.append(f"eq={tag}")
-        return cache_key(*parts)
+        return cache_key(f"v{RESULT_STORE_VERSION}", source_fingerprint(),
+                         kind, job_token(job))
 
-    @staticmethod
-    def _token_for(job: "SimJob", equivalence=None) -> str:
-        """Plain-text token stored in (and matched against) entry files."""
-        token = job_token(job)
-        tag = normalize_equivalence(equivalence)
-        if tag != "bitwise":
-            token += f"|eq={tag}"
-        return token
-
-    def get(self, job: "SimJob", kind: str = "result", equivalence=None):
+    def get(self, job: "SimJob", kind: str = "result"):
         """Stored payload for a job, or None on a miss."""
-        key = self.key_for(job, kind, equivalence)
+        key = self.key_for(job, kind)
         with self._lock:
             cached = self._memory.get(key)
             if cached is not None:
@@ -464,17 +411,16 @@ class ResultStore:
             self.stats.hits += 1
         return value
 
-    def put(self, job: "SimJob", value, kind: str = "result",
-            equivalence=None) -> None:
+    def put(self, job: "SimJob", value, kind: str = "result") -> None:
         """Store one payload in memory and (best-effort) on disk."""
-        key = self.key_for(job, kind, equivalence)
+        key = self.key_for(job, kind)
         with self._lock:
             self._memory[key] = value
             self.stats.stores += 1
         payload = json.dumps({
             "version": RESULT_STORE_VERSION,
             "kind": kind,
-            "job": self._token_for(job, equivalence),
+            "job": job_token(job),
             "data": _PAYLOAD_CODECS[kind][0](value),
         })
         directory = self.directory()
@@ -487,8 +433,7 @@ class ResultStore:
         except OSError:
             pass
 
-    def contains(self, job: "SimJob", kind: str = "result",
-                 equivalence=None) -> bool:
+    def contains(self, job: "SimJob", kind: str = "result") -> bool:
         """Whether a stored entry exists, without touching the counters.
 
         A statistics-free probe (memory layer, then file existence) for
@@ -496,7 +441,7 @@ class ResultStore:
         still needs — that must not distort the hit/miss accounting of
         the run itself.
         """
-        key = self.key_for(job, kind, equivalence)
+        key = self.key_for(job, kind)
         with self._lock:
             if key in self._memory:
                 return True
@@ -527,17 +472,16 @@ class ResultStore:
                 tokens.append(payload["job"])
         return tokens
 
-    def require(self, job: "SimJob", kind: str = "result",
-                equivalence=None):
+    def require(self, job: "SimJob", kind: str = "result"):
         """Like :meth:`get` but raising :class:`ResultStoreMiss` on a miss.
 
         The miss message names the token components in which the
         nearest stored entry differs (see :func:`nearest_entry_diff`)
         instead of leaving the user to decode an opaque digest.
         """
-        value = self.get(job, kind, equivalence)
+        value = self.get(job, kind)
         if value is None:
-            token = self._token_for(job, equivalence)
+            token = job_token(job)
             raise ResultStoreMiss(
                 f"no stored {kind} for job {token} "
                 f"(reuse='require' on a cold store?); "

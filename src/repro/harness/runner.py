@@ -207,15 +207,11 @@ def _build_processor(
     policy: PolicySpec,
     config: Optional[SMTConfig],
     seed: int,
-    trace_factory=None,
-    prewarm_image=None,
 ) -> SMTProcessor:
     """One place constructing the simulator every runner shares."""
     config = config or SMTConfig()
     profiles = [get_profile(b) for b in benchmarks]
-    return SMTProcessor(config, profiles, _build_policy(policy), seed=seed,
-                        trace_factory=trace_factory,
-                        prewarm_image=prewarm_image)
+    return SMTProcessor(config, profiles, _build_policy(policy), seed=seed)
 
 
 def _adaptive_warmup_chunk(plan: WarmupPolicy, default: int) -> int:

@@ -273,17 +273,6 @@ class Scenario:
             measure from the lead policy's warm state — which is often
             exactly the controlled comparison wanted), so it is opt-in
             and participates in job identity.
-        backend: simulation backend the scenario runs on —
-            ``"scalar"`` (default), ``"batched"`` (lockstep groups of
-            same-shape jobs through one
-            :class:`~repro.batch.core.BatchedSimulator`; requires the
-            numpy extra) or ``"vectorized"`` (numpy block-drawn trace
-            randomness).  Scalar and batched results are
-            bitwise-identical, so the backend is *not* part of job
-            identity and their stored results are shared; vectorized
-            results are only statistically equivalent and live under
-            their own result-store equivalence tag (see
-            :func:`~repro.harness.results.backend_equivalence`).
     """
 
     name: str
@@ -298,17 +287,12 @@ class Scenario:
     sweep: Tuple[SweepAxis, ...] = ()
     description: str = ""
     shared_warmup: bool = False
-    backend: str = "scalar"
 
     def __post_init__(self) -> None:
-        from repro.harness.engine import normalize_backend
-
         object.__setattr__(self, "workloads", tuple(self.workloads))
         object.__setattr__(self, "policies",
                            normalize_policies(self.policies))
         object.__setattr__(self, "sweep", tuple(self.sweep))
-        object.__setattr__(self, "backend",
-                           normalize_backend(self.backend))
         if self.cycles < 0:
             raise ValueError("cycles must be >= 0")
         if self.reps < 1:
@@ -538,8 +522,6 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, object]:
         data["interval_cycles"] = scenario.interval_cycles
     if scenario.shared_warmup:
         data["shared_warmup"] = True
-    if scenario.backend != "scalar":
-        data["backend"] = scenario.backend
     if scenario.sweep:
         data["sweep"] = [
             {"name": axis.name,
@@ -583,7 +565,7 @@ def scenario_from_dict(data: Dict[str, object]) -> Scenario:
     unknown = set(data) - {
         "name", "description", "workloads", "policies", "config",
         "cycles", "warmup", "seed", "reps", "interval_cycles", "sweep",
-        "shared_warmup", "backend"}
+        "shared_warmup"}
     if unknown:
         raise ValueError(
             f"unknown scenario fields: {', '.join(sorted(unknown))}")
@@ -607,7 +589,6 @@ def scenario_from_dict(data: Dict[str, object]) -> Scenario:
         sweep=tuple(_axis_from_data(axis)
                     for axis in data.get("sweep", ())),
         shared_warmup=bool(data.get("shared_warmup", False)),
-        backend=data.get("backend", "scalar"),
     )
 
 
@@ -666,7 +647,7 @@ class ScenarioRun:
 def run_scenario(scenario: Scenario, jobs: int = 1, executor=None,
                  reuse="auto", progress=None,
                  store: Optional[ResultStore] = None,
-                 checkpoint=None, backend=None) -> ScenarioRun:
+                 checkpoint=None) -> ScenarioRun:
     """Compile and execute a scenario through the experiment engine.
 
     ``reuse`` defaults to ``"auto"`` here — incremental re-runs are the
@@ -682,24 +663,14 @@ def run_scenario(scenario: Scenario, jobs: int = 1, executor=None,
     checkpoint-enabled, the missing warm-up prefixes are computed first
     — exactly once each, through the same backend — before the job
     sweep runs (see :func:`~repro.harness.engine.ensure_checkpoints`).
-
-    ``backend`` overrides the scenario's own ``backend`` field (None
-    keeps it); scalar and batched results are bitwise-identical, so
-    switching between them never changes output, store keys or reuse
-    behaviour.  The vectorized backend is only statistically
-    equivalent: its results are keyed under their own store
-    equivalence tag and never serve (or reuse) bitwise entries.
     """
     from repro.harness.checkpoints import normalize_checkpoint
     from repro.harness.engine import (
         ensure_checkpoints,
         executor_scope,
-        normalize_backend,
         run_jobs,
     )
 
-    sim_backend = (normalize_backend(backend) if backend is not None
-                   else scenario.backend)
     compiled = scenario.compile()
     if checkpoint is not None:
         mode = normalize_checkpoint(checkpoint)
@@ -710,7 +681,7 @@ def run_scenario(scenario: Scenario, jobs: int = 1, executor=None,
     store = resolve_store(store)
     reuse_mode = normalize_reuse(reuse)
     checkpoint_stats = None
-    with executor_scope(executor, jobs) as pool:
+    with executor_scope(executor, jobs) as backend:
         if any(job.checkpoint for job in compiled.jobs):
             # Prefixes are only worth computing for jobs whose *result*
             # is not already stored — a fully warm result store needs
@@ -718,10 +689,10 @@ def run_scenario(scenario: Scenario, jobs: int = 1, executor=None,
             pending = (compiled.jobs if reuse_mode == "off" else
                        [job for job in compiled.jobs
                         if not store.contains(job, "result")])
-            checkpoint_stats = ensure_checkpoints(pending, jobs, pool)
+            checkpoint_stats = ensure_checkpoints(pending, jobs, backend)
         before = dataclasses.replace(store.stats)
-        results = run_jobs(compiled.jobs, jobs, pool, progress,
-                           reuse, store, backend=sim_backend)
+        results = run_jobs(compiled.jobs, jobs, backend, progress,
+                           reuse, store)
     after = store.stats
     stats = {"jobs": len(compiled.jobs),
              "hits": after.hits - before.hits,

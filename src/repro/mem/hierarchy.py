@@ -181,31 +181,6 @@ class MemoryHierarchy:
                 l1i_accesses, l1i_misses, tlb_misses, store_accesses,
                 store_l2_misses)
 
-    def capture_prewarm_image(self) -> dict:
-        """Snapshot cache/TLB contents right after construction-time
-        pre-warming, for reuse across same-shape processors.
-
-        The pre-warm fill pattern depends only on the workload profiles
-        and configuration — never on the job seed — so lanes of a batch
-        fan-out share one image: capture it from the first lane and
-        :meth:`restore_prewarm_image` into the rest instead of replaying
-        tens of thousands of per-line fills.  Statistics and MSHRs are
-        excluded: both are empty at capture time by construction.
-        """
-        return {
-            "l1i": self.l1i.capture_state(),
-            "l1d": self.l1d.capture_state(),
-            "l2": self.l2.capture_state(),
-            "dtlb": self.dtlb.capture_state(),
-        }
-
-    def restore_prewarm_image(self, image: dict) -> None:
-        """Install cache/TLB contents from :meth:`capture_prewarm_image`."""
-        self.l1i.restore_state(image["l1i"])
-        self.l1d.restore_state(image["l1d"])
-        self.l2.restore_state(image["l2"])
-        self.dtlb.restore_state(image["dtlb"])
-
     # -- loads ---------------------------------------------------------------
 
     def access_load(self, tid: int, addr: int, cycle: int,

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.processor import SMTProcessor
@@ -74,112 +74,6 @@ def weighted_speedup(smt_ipcs: Sequence[float],
         raise ValueError("single-thread IPCs must be positive")
     relative = [smt / single for smt, single in zip(smt_ipcs, single_ipcs)]
     return sum(relative) / len(relative)
-
-
-def _checked_samples(values: Sequence[float], label: str) -> List[float]:
-    """Validate one KS input sample: at least two finite values."""
-    out = []
-    for v in values:
-        v = float(v)
-        if math.isnan(v) or math.isinf(v):
-            raise ValueError(
-                f"{label} sample contains a non-finite value ({v!r}); "
-                "KS statistics require finite observations")
-        out.append(v)
-    if len(out) < 2:
-        raise ValueError(
-            f"{label} sample has {len(out)} value(s); the two-sample KS "
-            "test needs at least 2 per side")
-    return out
-
-
-def ks_statistic(a: Sequence[float], b: Sequence[float]) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic, pure stdlib.
-
-    Returns ``max_x |F_a(x) - F_b(x)|`` over the empirical CDFs of the
-    two samples.  This is the distance the equivalence harness gates
-    on: a relaxed backend is accepted only when, for every metric, the
-    distance between its seed-fan-out distribution and the scalar
-    backend's stays under a calibrated threshold.
-
-    Degenerate inputs (fewer than 2 values per side, NaN/inf samples)
-    raise ``ValueError`` — silent acceptance of a broken metric stream
-    is exactly what the harness exists to prevent.
-    """
-    xs = sorted(_checked_samples(a, "first"))
-    ys = sorted(_checked_samples(b, "second"))
-    n, m = len(xs), len(ys)
-    i = j = 0
-    d = 0.0
-    while i < n and j < m:
-        # Consume every observation tied at the current value on BOTH
-        # sides before measuring: the empirical CDFs only have defined
-        # values between distinct observations, and stepping one tied
-        # element at a time would report a phantom gap inside the tie
-        # (identical samples would score 1/n instead of 0).
-        value = min(xs[i], ys[j])
-        while i < n and xs[i] == value:
-            i += 1
-        while j < m and ys[j] == value:
-            j += 1
-        diff = abs(i / n - j / m)
-        if diff > d:
-            d = diff
-    return d
-
-
-def ks_2samp_pvalue(a: Sequence[float], b: Sequence[float]) -> float:
-    """Asymptotic two-sided p-value for the two-sample KS test.
-
-    Uses the Kolmogorov distribution's series with Stephens' small-
-    sample correction (``en + 0.12 + 0.11/en``), the same approximation
-    scipy's ``mode="asymp"`` applies, so no scipy dependency is needed.
-    Accurate to a few percent for the 16+-seed fan-outs the harness
-    runs; the harness gates on the *statistic* against a calibrated
-    threshold and reports this p-value as supporting context.
-    """
-    d = ks_statistic(a, b)
-    n, m = len(list(a)), len(list(b))
-    en = math.sqrt(n * m / (n + m))
-    z = (en + 0.12 + 0.11 / en) * d
-    if z <= 0.0:
-        return 1.0
-    total = 0.0
-    for k in range(1, 101):
-        term = math.exp(-2.0 * (k * z) ** 2)
-        total += -term if k % 2 == 0 else term
-        if term < 1e-12:
-            break
-    return min(1.0, max(0.0, 2.0 * total))
-
-
-def summarize_distribution(values: Sequence[float]) -> Dict[str, float]:
-    """Stdlib summary of one metric's seed-fan-out distribution.
-
-    Returns ``n``, ``mean``, ``stddev`` (ddof=1; 0.0 for n == 1),
-    ``min``, ``median`` and ``max`` — the fields the equivalence
-    report embeds per metric per backend so a reviewer can read the
-    two distributions next to the KS verdict.
-    """
-    vals = sorted(float(v) for v in values)
-    if not vals:
-        raise ValueError("summarize_distribution of an empty sequence")
-    for v in vals:
-        if math.isnan(v) or math.isinf(v):
-            raise ValueError(
-                f"summarize_distribution got a non-finite value ({v!r})")
-    n = len(vals)
-    mean = sum(vals) / n
-    if n > 1:
-        stddev = math.sqrt(sum((v - mean) ** 2 for v in vals) / (n - 1))
-    else:
-        stddev = 0.0
-    mid = n // 2
-    median = vals[mid] if n % 2 else (vals[mid - 1] + vals[mid]) / 2.0
-    return {
-        "n": n, "mean": mean, "stddev": stddev,
-        "min": vals[0], "median": median, "max": vals[-1],
-    }
 
 
 #: Two-sided 97.5% Student-t quantiles for 1..30 degrees of freedom,

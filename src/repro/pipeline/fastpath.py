@@ -1,10 +1,14 @@
-"""Fast lockstep stepper: the batched backend's per-lane cycle loop.
+"""The simulator's multi-cycle loop.
 
 :func:`run_fast` advances an :class:`~repro.pipeline.processor.SMTProcessor`
-exactly like ``processor.run(cycles)`` — bitwise-identically, the
-invariant the backend-equivalence suite pins for every registry policy —
-but pays less Python interpreter overhead per simulated cycle, through
-two mechanisms:
+by any number of cycles.  Every run API reaches it through
+``SMTProcessor._run_cycles`` — ``run``, ``run_intervals``,
+``run_adaptive_warmup``, the runners' warm-up and every checkpoint
+path — so it is the only stepping loop.  It is bitwise-equal to calling
+:meth:`SMTProcessor.step` once per cycle, the one-cycle reference
+``tests/test_fastpath.py`` compares it against for every registry
+policy, but pays less Python interpreter overhead per simulated cycle,
+through two mechanisms:
 
 * **A fused step loop.** The body of :meth:`SMTProcessor.step` is
   inlined with its per-cycle attribute lookups hoisted out of the loop
@@ -27,21 +31,17 @@ two mechanisms:
   overlap samples, the periodic trace prune) and jumps the cycle
   counter to the horizon.  This is where memory-bound workloads win
   big: a thread sleeping on a 400-cycle memory fill costs O(1) instead
-  of O(400).
-
-The scalar backend never calls this module — ``processor.run`` remains
-the plain reference loop — so the fast path is exercised exclusively
-through ``--backend batched`` and is always diffable against the
-reference.
+  of O(400).  Policies that are not ``quiesce_safe`` (DCRA, DCRA-ADAPT
+  and PDG today) still get the fused loop, one step per cycle.
 """
 
 from __future__ import annotations
 
 from repro.isa.instruction import ST_COMPLETED
 
-#: Interval between trace-history pruning passes; must mirror
-#: ``repro.pipeline.processor._PRUNE_INTERVAL``.
-from repro.pipeline.processor import _PRUNE_INTERVAL
+#: Interval (cycles) between trace-history pruning passes, shared with
+#: :meth:`SMTProcessor.step`.
+_PRUNE_INTERVAL = 1024
 
 
 def quiescence_horizon(processor, cycle: int, end: int):
@@ -135,9 +135,10 @@ def quiescence_horizon(processor, cycle: int, end: int):
 
 
 def run_fast(processor, cycles: int) -> None:
-    """Advance ``processor`` by ``cycles``, bitwise-equal to ``run``.
+    """Advance ``processor`` by ``cycles``, bitwise-equal to calling
+    ``processor.step()`` that many times.
 
-    Falls back to the plain step loop whenever per-cycle probes are
+    Falls back to that plain step loop whenever per-cycle probes are
     installed (``cycle_hooks`` observe every cycle, so none may be
     skipped and the fused loop's savings would be noise).
     """

@@ -32,6 +32,7 @@ from repro.isa.instruction import (
 )
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.pipeline.config import SMTConfig
+from repro.pipeline.fastpath import _PRUNE_INTERVAL, run_fast
 from repro.pipeline.resources import (
     SharedResources,
     iq_for_class,
@@ -52,9 +53,6 @@ _GROUP_FOR_CLASS = {
     OpClass.STORE: "ls",
 }
 
-#: Interval (cycles) between trace-history pruning passes.
-_PRUNE_INTERVAL = 1024
-
 
 class SMTProcessor:
     """A simulated SMT processor running one synthetic program per context.
@@ -64,15 +62,6 @@ class SMTProcessor:
         profiles: one benchmark profile per hardware context.
         policy: fetch/allocation policy (attached via ``policy.attach``).
         seed: base RNG seed; each thread derives its own stream from it.
-        trace_factory: optional callable ``(profile, seed, tid)`` returning
-            a trace generator; defaults to :class:`SyntheticTraceGenerator`.
-            The vectorized backend injects its block-drawn generator here.
-        prewarm_image: optional pre-captured cache/TLB contents (see
-            :meth:`~repro.mem.hierarchy.MemoryHierarchy.capture_prewarm_image`)
-            installed instead of replaying the per-line pre-warm fills.
-            The caller must have captured it from a processor with the
-            same profiles and configuration; ignored when
-            ``config.prewarm_caches`` is off.
     """
 
     def __init__(
@@ -81,8 +70,6 @@ class SMTProcessor:
         profiles: Sequence[BenchmarkProfile],
         policy,
         seed: int = 0,
-        trace_factory=None,
-        prewarm_image=None,
     ) -> None:
         if not profiles:
             raise ValueError("at least one thread profile is required")
@@ -117,20 +104,15 @@ class SMTProcessor:
             ras_depth=config.ras_depth,
         )
         self.threads: List[ThreadContext] = []
-        if trace_factory is None:
-            trace_factory = SyntheticTraceGenerator
         for tid, profile in enumerate(profiles):
-            generator = trace_factory(
-                profile, seed * 1000003 + tid * 7919 + 17, tid
+            generator = SyntheticTraceGenerator(
+                profile, seed=seed * 1000003 + tid * 7919 + 17, tid=tid
             )
             self.threads.append(
                 ThreadContext(tid, TraceBuffer(generator), config.fetch_queue_size)
             )
         if config.prewarm_caches:
-            if prewarm_image is not None:
-                self.hierarchy.restore_prewarm_image(prewarm_image)
-            else:
-                self._prewarm()
+            self._prewarm()
         self._seq = 0
         self._completions: Dict[int, List[MicroOp]] = {}
         self._l2_detect_events: Dict[int, List[MicroOp]] = {}
@@ -202,10 +184,10 @@ class SMTProcessor:
                 pass
 
     def _run_cycles(self, cycles: int) -> None:
-        """The raw simulation loop shared by the run APIs."""
-        step = self.step
-        for _ in range(cycles):
-            step()
+        """The raw simulation loop shared by the run APIs: the fused,
+        quiescence-skipping :func:`~repro.pipeline.fastpath.run_fast`,
+        bitwise-equal to calling :meth:`step` ``cycles`` times."""
+        run_fast(self, cycles)
 
     def enable_phase_tracking(self) -> List[int]:
         """Start (or continue) counting the per-cycle phase histogram.
@@ -542,7 +524,12 @@ class SMTProcessor:
     # ----------------------------------------------------------------- step --
 
     def step(self) -> None:
-        """Simulate one cycle."""
+        """Simulate one cycle.
+
+        The one-cycle reference :func:`~repro.pipeline.fastpath.run_fast`
+        must match bitwise, and the loop it falls back to while
+        ``cycle_hooks`` are installed.
+        """
         cycle = self.cycle
         policy = self.policy
         self.hierarchy.tick(cycle)

@@ -71,8 +71,8 @@ class Policy:
     #: next do something via :meth:`quiesce_horizon`).  Defaults to
     #: False so unknown subclasses overriding per-cycle hooks are
     #: conservatively stepped cycle-by-cycle; the whitelisted policies
-    #: opt in explicitly and are pinned bitwise against the plain
-    #: stepper by the backend-equivalence suite.
+    #: opt in explicitly and are pinned bitwise against the one-cycle
+    #: ``step()`` loop by ``tests/test_fastpath.py``.
     quiesce_safe = False
 
     def __init__(self) -> None:

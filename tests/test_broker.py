@@ -455,6 +455,10 @@ class TestJobSpec:
     def test_job_from_spec_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown submission field"):
             job_from_spec({"benchmarks": ["gzip"], "cyclez": 10})
+        # There is one stepper: a spec naming a simulation backend is
+        # malformed, which the HTTP facade answers with a 400.
+        with pytest.raises(ValueError, match="unknown submission field"):
+            job_from_spec({"benchmarks": ["gzip"], "backend": "scalar"})
 
     def test_job_from_spec_needs_benchmarks(self):
         with pytest.raises(ValueError, match="benchmarks"):

@@ -26,6 +26,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "gzip", "--policy", "ORACLE"])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "gzip"], ["compare", "gzip"],
+        ["scenario", "run", "table5"], ["broker", "submit", "gzip"],
+    ])
+    def test_backend_option_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv + ["--backend", "scalar"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_policies_listing(self, capsys):

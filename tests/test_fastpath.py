@@ -1,12 +1,13 @@
-"""Bitwise equivalence of the fast stepper against the reference loop.
+"""Bitwise equivalence of the stepping loop against one-cycle steps.
 
-The batched backend's correctness rests on one invariant:
-:func:`repro.pipeline.fastpath.run_fast` advances a processor exactly
-like :meth:`SMTProcessor.run` — same statistics, same machine state,
-byte for byte — for every registry policy and thread count.  These
-tests pin that invariant numpy-free, so the whole matrix runs in the
-tier-1 (no-extras) environment even though the fast path is only ever
-*dispatched* via ``--backend batched``.
+Every run API reaches :func:`repro.pipeline.fastpath.run_fast` — the
+fused loop with quiescence fast-forward — so the reference here is the
+plain ``for _ in range(n): processor.step()`` loop.  ``run_fast`` and
+``processor.run`` must leave the processor in exactly the state that
+loop does — same statistics, same machine state, byte for byte — for
+every registry policy and thread count.  Phase tracking is on, so the
+fast-forward's bulk phase-histogram accounting (which every interval
+run and Table 5 rely on) is compared too.
 """
 
 import json
@@ -19,6 +20,7 @@ from repro.policies.base import Policy
 from repro.policies.registry import POLICY_NAMES, make_policy
 
 CYCLES = 1500  # crosses the 1024-cycle trace-prune boundary
+RUN_CHUNKS = (400, 700, 400)  # prune-unaligned, sums to CYCLES
 
 MIXES = {
     1: ["gzip"],
@@ -39,38 +41,54 @@ def _state_digest(processor):
                       default=repr)
 
 
-def _pair(policy, benchmarks, seed=11):
-    reference = _build_processor(benchmarks, policy, None, seed)
-    fast = _build_processor(benchmarks, policy, None, seed)
-    return reference, fast
+def _processor(policy, benchmarks, seed=11):
+    processor = _build_processor(benchmarks, policy, None, seed)
+    processor.enable_phase_tracking()
+    return processor
+
+
+def _stepped(policy, benchmarks):
+    """The reference: one ``step()`` call per cycle."""
+    processor = _processor(policy, benchmarks)
+    for _ in range(CYCLES):
+        processor.step()
+    return processor
 
 
 @pytest.mark.parametrize("threads", sorted(MIXES))
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_run_fast_bitwise_matrix(policy, threads):
-    """All registry policies x 1/2/4/6 threads: identical final state."""
-    reference, fast = _pair(policy, MIXES[threads])
-    reference.run(CYCLES)
+    """All registry policies x 1/2/4/6 threads: ``run_fast`` and chunked
+    ``run`` reach the stepped state, phase histogram included."""
+    reference = _state_digest(_stepped(policy, MIXES[threads]))
+    fast = _processor(policy, MIXES[threads])
     run_fast(fast, CYCLES)
-    assert fast.cycle == reference.cycle
-    assert _state_digest(fast) == _state_digest(reference)
+    assert fast.cycle == CYCLES
+    assert _state_digest(fast) == reference
+    assert sum(fast.phase_counts) == CYCLES
+
+    chunked = _processor(policy, MIXES[threads])
+    for chunk in RUN_CHUNKS:
+        chunked.run(chunk)
+    assert _state_digest(chunked) == reference
 
 
 @pytest.mark.parametrize("policy", ["ICOUNT", "DCRA", "FLUSH++"])
 def test_run_fast_chunked_equals_monolithic(policy):
-    """Chunked stepping (the batch's lockstep schedule) changes nothing."""
-    reference, fast = _pair(policy, MIXES[2])
-    reference.run(CYCLES)
+    """Chunked stepping (e.g. interval runs) changes nothing."""
+    reference = _state_digest(_stepped(policy, MIXES[2]))
+    fast = _processor(policy, MIXES[2])
     done = 0
     while done < CYCLES:
         chunk = min(311, CYCLES - done)  # deliberately prune-unaligned
         run_fast(fast, chunk)
         done += chunk
-    assert _state_digest(fast) == _state_digest(reference)
+    assert _state_digest(fast) == reference
 
 
 def test_run_fast_zero_and_negative_cycles():
-    reference, fast = _pair("ICOUNT", MIXES[1])
+    reference = _processor("ICOUNT", MIXES[1])
+    fast = _processor("ICOUNT", MIXES[1])
     run_fast(fast, 0)
     run_fast(fast, -5)
     assert _state_digest(fast) == _state_digest(reference)
@@ -78,7 +96,7 @@ def test_run_fast_zero_and_negative_cycles():
 
 def test_run_fast_respects_cycle_hooks():
     """Per-cycle probes see every cycle (no fast-forward may skip one)."""
-    _, fast = _pair("ICOUNT", MIXES[1])
+    fast = _processor("ICOUNT", MIXES[1])
     seen = []
     fast.cycle_hooks.append(lambda proc: seen.append(proc.cycle))
     run_fast(fast, 50)

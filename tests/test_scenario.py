@@ -243,6 +243,9 @@ class TestFiles:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario fields"):
             scenario_from_dict({"name": "x", "workload": ["gzip"]})
+        with pytest.raises(ValueError, match="unknown scenario fields"):
+            scenario_from_dict({"name": "x", "workloads": ["gzip"],
+                                "backend": "scalar"})
 
     def test_bad_extension_rejected(self, tmp_path):
         path = tmp_path / "scenario.yaml"
