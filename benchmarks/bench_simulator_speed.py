@@ -115,17 +115,21 @@ def test_simulation_speed(benchmark, benchmarks, label):
     (("mcf", "twolf"), "STALL", None, CYCLES, "reps-8 MEM STALL"),
     (("gzip", "twolf", "bzip2", "mcf"), "ICOUNT", None, CYCLES,
      "reps-8 MIX"),
+    (("gzip", "twolf", "bzip2", "mcf"), "DCRA", None, CYCLES,
+     "reps-8 MIX DCRA"),
+    (("mcf", "twolf"), "DCRA", None, CYCLES, "reps-8 MEM DCRA"),
 ])
 def test_reps8_fanout_speed(benchmark, benchmarks, policy, memory_latency,
                             cycles, label):
     """A ``--reps 8`` fan-out through the engine, in simulated cycles/s.
 
-    Three design points of the stepper's quiescence fast-forward: a
-    DRAM-bound single thread at 1000-cycle memory latency (mostly idle
-    cycles, the largest win), memory-bound mcf+twolf under STALL, and
-    the busy 4-thread MIX (mostly fused-loop savings).  The recorded
-    ``cycles_per_sec`` is gated by scripts/perf_gate.py against the
-    committed baseline like every other throughput entry.
+    Design points of the stepper's quiescence fast-forward: a DRAM-bound
+    single thread at 1000-cycle memory latency (mostly idle cycles, the
+    largest win), memory-bound mcf+twolf under STALL, the busy 4-thread
+    MIX (mostly fused-loop savings), and the paper's policy, DCRA, on
+    that MIX and on mcf+twolf (its per-cycle bookkeeping on top).  The
+    recorded ``cycles_per_sec`` is gated by scripts/perf_gate.py against
+    the committed baseline like every other throughput entry.
     """
     import time
 

@@ -21,7 +21,7 @@ degenerate classification must expire).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.core.dcra import DcraConfig, DcraPolicy
 from repro.pipeline.resources import Resource
@@ -52,6 +52,12 @@ class AdaptiveConfig:
     benefit_threshold: float = 0.05
     settle_windows: int = 4
     slow_fraction: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.window < 1:
+            raise ValueError("window must be at least 1")
+        if self.settle_windows < 1:
+            raise ValueError("settle_windows must be at least 1")
 
 
 class AdaptiveDcraPolicy(DcraPolicy):
@@ -132,11 +138,31 @@ class AdaptiveDcraPolicy(DcraPolicy):
 
     def begin_cycle(self, cycle: int) -> None:
         super().begin_cycle(cycle)
-        for tid in range(self.processor.num_threads):
-            if self._slow[tid]:
-                self._window_slow_cycles[tid] += 1
+        slow_cycles = self._window_slow_cycles
+        for tid in self._slow_tids:
+            slow_cycles[tid] += 1
         if cycle and cycle % self.adaptive.window == 0:
             self._end_window()
+            # New verdicts change cap_for after this cycle's fetch gate
+            # ran: this cycle's renames and the next cycle's gate see
+            # them, so the next cycle must not be skipped.
+            self._rebuild_limits()
+            self._gate_rob_used = None
+
+    def quiesce_horizon(self, cycle: int) -> Optional[int]:
+        # The DCRA horizon, capped at the next probe-window boundary
+        # (this very cycle when it is one, so begin_cycle ends it).
+        horizon = super().quiesce_horizon(cycle)
+        remainder = cycle % self.adaptive.window
+        boundary = cycle if remainder == 0 else \
+            cycle + self.adaptive.window - remainder
+        return boundary if horizon is None else min(horizon, boundary)
+
+    def on_quiescent_skip(self, cycles: int) -> None:
+        super().on_quiescent_skip(cycles)
+        slow_cycles = self._window_slow_cycles
+        for tid in self._slow_tids:
+            slow_cycles[tid] += cycles
 
     def _end_window(self) -> None:
         cfg = self.adaptive

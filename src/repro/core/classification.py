@@ -16,7 +16,7 @@ The combination yields the four groups the paper names FA, FI, SA, SI.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.pipeline.resources import FP_RESOURCES, Resource
 
@@ -45,13 +45,27 @@ def classify(slow: bool, active: bool) -> ThreadClass:
     return ThreadClass.FAST_ACTIVE if active else ThreadClass.FAST_INACTIVE
 
 
-class ActivityTracker:
-    """Per-thread activity counters for the floating-point resources.
+#: Row of each FP resource in the tracker's tables (``FP_RESOURCES`` order).
+_FP_ROW = {resource: index for index, resource in enumerate(FP_RESOURCES)}
 
-    Each counter starts at ``window`` and is decremented every cycle the
-    thread does not allocate an entry of that resource; any allocation
-    resets it to ``window``.  A thread is *inactive* for the resource when
-    its counter reaches zero (paper Section 3.4, activity flags).
+
+class ActivityTracker:
+    """Per-thread activity flags for the floating-point resources.
+
+    The paper keeps one counter per (FP resource, thread) pair: it starts
+    at ``window``, is decremented every cycle the thread does not
+    allocate an entry of that resource, and any allocation resets it to
+    ``window``.  A thread is *inactive* for the resource when its counter
+    reaches zero (paper Section 3.4, activity flags).
+
+    The tracker is event-driven rather than a literal counter bank: it
+    stores the tick at which each pair's counter was last reset, so a
+    counter reads ``window - (now - reset)`` clamped at zero and is never
+    decremented.  :meth:`tick` costs O(uses noted this cycle),
+    :meth:`advance` ticks over an idle span in O(1), and
+    :meth:`ticks_until_flip` says when the next flag would expire.  The
+    flags change only when one expires or an inactive thread uses its
+    resource again, so :meth:`signature` is rebuilt only then.
 
     Args:
         num_threads: hardware contexts to track.
@@ -64,44 +78,103 @@ class ActivityTracker:
             raise ValueError("activity window must be positive")
         self.window = window
         self.num_threads = num_threads
-        self._counters: Dict[Resource, List[int]] = {
-            resource: [window] * num_threads for resource in FP_RESOURCES
-        }
-        self._used_this_cycle: Dict[Resource, List[bool]] = {
-            resource: [False] * num_threads for resource in FP_RESOURCES
-        }
+        #: Ticks elapsed: the clock the reset ticks are read against.
+        self._now = 0
+        #: Per FP resource (``FP_RESOURCES`` order), the tick each
+        #: thread's counter was last reset to ``window`` (0: they start
+        #: full).
+        self._reset: List[List[int]] = [[0] * num_threads
+                                        for _ in FP_RESOURCES]
+        #: (row, tid) of every use noted since the last tick.
+        self._pending: List[Tuple[int, int]] = []
+        self._signature: tuple = ()
+        self._next_expiry: Optional[int] = None
+        self._refresh()
 
     def capture_state(self) -> dict:
         """Snapshot activity counters (rows in ``FP_RESOURCES`` order)."""
+        used = [[False] * self.num_threads for _ in FP_RESOURCES]
+        for row, tid in self._pending:
+            used[row][tid] = True
         return {
-            "counters": [list(self._counters[resource])
-                         for resource in FP_RESOURCES],
-            "used_this_cycle": [list(self._used_this_cycle[resource])
-                                for resource in FP_RESOURCES],
+            "counters": [[self._counter(reset) for reset in row]
+                         for row in self._reset],
+            "used_this_cycle": used,
         }
 
     def restore_state(self, state: dict) -> None:
         """Overwrite activity counters from :meth:`capture_state`."""
-        for index, resource in enumerate(FP_RESOURCES):
-            self._counters[resource] = list(state["counters"][index])
-            self._used_this_cycle[resource] = [
-                bool(flag) for flag in state["used_this_cycle"][index]]
+        # A counter reading c was reset window - c ticks ago; an expired
+        # one (c == 0) reads the same for any reset at least that old.
+        base = self._now - self.window
+        self._reset = [[base + counter for counter in counters]
+                       for counters in state["counters"]]
+        self._pending = [(row, tid)
+                         for row, flags in enumerate(state["used_this_cycle"])
+                         for tid, flag in enumerate(flags) if flag]
+        self._refresh()
+
+    def _counter(self, reset: int) -> int:
+        return max(0, self.window - (self._now - reset))
+
+    def _refresh(self) -> None:
+        """Rebuild the cached flags and the next expiry tick."""
+        now, window = self._now, self.window
+        flags = tuple(tuple(now - reset < window for reset in row)
+                      for row in self._reset)
+        if flags != self._signature:
+            self._signature = flags
+        expiries = [reset + window for row in self._reset for reset in row
+                    if now - reset < window]
+        self._next_expiry = min(expiries) if expiries else None
 
     def note_use(self, resource: Resource, tid: int) -> None:
         """Record an allocation of ``resource`` by ``tid`` this cycle."""
-        if resource in self._used_this_cycle:
-            self._used_this_cycle[resource][tid] = True
+        row = _FP_ROW.get(resource)
+        if row is not None:
+            self._pending.append((row, tid))
 
     def tick(self) -> None:
-        """Advance one cycle: reset counters on use, else decay them."""
-        for resource, used_flags in self._used_this_cycle.items():
-            counters = self._counters[resource]
-            for tid in range(self.num_threads):
-                if used_flags[tid]:
-                    counters[tid] = self.window
-                    used_flags[tid] = False
-                elif counters[tid] > 0:
-                    counters[tid] -= 1
+        """Advance one cycle: reset the counters used this cycle."""
+        now = self._now = self._now + 1
+        pending = self._pending
+        if pending:
+            window = self.window
+            reactivated = False
+            for row, tid in pending:
+                resets = self._reset[row]
+                if now - 1 - resets[tid] >= window:
+                    reactivated = True
+                resets[tid] = now
+            pending.clear()
+            if reactivated:
+                self._refresh()
+                return
+        expiry = self._next_expiry
+        if expiry is not None and now >= expiry:
+            self._refresh()
+
+    def advance(self, ticks: int) -> None:
+        """Equivalent to ``ticks`` calls of :meth:`tick` with no further
+        use noted (a span of cycles that allocate nothing)."""
+        if ticks <= 0:
+            return
+        self.tick()
+        self._now += ticks - 1
+        expiry = self._next_expiry
+        if expiry is not None and self._now >= expiry:
+            self._refresh()
+
+    def ticks_until_flip(self) -> Optional[int]:
+        """Ticks until the next activity flag flips, absent further use.
+
+        Without a use only an expiry can flip a flag, so this is the
+        distance to the earliest active counter reaching zero: that many
+        more ticks (always at least one) change :meth:`signature`.  None
+        when every flag is already inactive.
+        """
+        expiry = self._next_expiry
+        return None if expiry is None else expiry - self._now
 
     def signature(self) -> tuple:
         """Hashable snapshot of the FP active/inactive flags.
@@ -109,12 +182,10 @@ class ActivityTracker:
         DCRA's entitlements depend on the classification only through
         these flags (integer resources are always active), so a caller
         can compare signatures across cycles and skip recomputing caps
-        when nothing changed.
+        when nothing changed.  The same object is returned until a flag
+        flips, so an identity check is enough.
         """
-        return tuple(
-            tuple(c > 0 for c in self._counters[resource])
-            for resource in FP_RESOURCES
-        )
+        return self._signature
 
     def is_active(self, resource: Resource, tid: int) -> bool:
         """Activity flag for a (resource, thread) pair.
@@ -122,17 +193,17 @@ class ActivityTracker:
         Integer resources are always active (the paper tracks activity
         only for floating-point resources).
         """
-        counters = self._counters.get(resource)
-        if counters is None:
+        row = _FP_ROW.get(resource)
+        if row is None:
             return True
-        return counters[tid] > 0
+        return self._now - self._reset[row][tid] < self.window
 
     def counter(self, resource: Resource, tid: int) -> int:
         """Raw counter value (for tests and introspection)."""
-        counters = self._counters.get(resource)
-        if counters is None:
+        row = _FP_ROW.get(resource)
+        if row is None:
             raise ValueError(f"{resource.name} has no activity counter")
-        return counters[tid]
+        return self._counter(self._reset[row][tid])
 
     def active_threads(self, resource: Resource,
                        tids: Sequence[int]) -> List[int]:

@@ -24,20 +24,28 @@ Fetch priority among unrestricted threads remains ICOUNT.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.classification import ActivityTracker
 from repro.core.sharing import SharingModel
-from repro.isa.instruction import MicroOp
+from repro.isa.instruction import MicroOp, OpClass
 from repro.pipeline.resources import (
     IQ_RESOURCES,
-    REG_RESOURCES,
     Resource,
     iq_for_class,
     reg_for_dest,
 )
 from repro.policies.base import Policy, icount_order
+
+#: Op classes queued in the FP issue queue: with FP destinations, the
+#: only renames the activity counters need to hear about.
+_FP_QUEUE_CLASSES = frozenset(op_class for op_class in OpClass
+                              if iq_for_class(op_class) is Resource.IQ_FP)
+
+#: Rename-table cap of a resource a thread is not limited on.
+_NO_CAP = sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -70,12 +78,19 @@ class DcraConfig:
     def __post_init__(self) -> None:
         if self.slow_trigger not in ("l1d", "l2"):
             raise ValueError("slow_trigger must be 'l1d' or 'l2'")
+        if self.activity_window < 1:
+            raise ValueError("activity_window must be at least 1")
 
 
 class DcraPolicy(Policy):
     """Dynamically Controlled Resource Allocation."""
 
     name = "DCRA"
+    # Safe given quiesce_horizon below: the classification inputs (the
+    # pending-miss counters and occupancy) are frozen on quiescent
+    # cycles, the horizon pins every activity-flag expiry, and
+    # on_quiescent_skip accounts the stall cycles and counter decay.
+    quiesce_safe = True
 
     def __init__(self, config: DcraConfig = DcraConfig()) -> None:
         super().__init__()
@@ -85,26 +100,34 @@ class DcraPolicy(Policy):
         self.activity: ActivityTracker = None  # built at attach
         #: Per-resource entitlement of slow-active threads, this cycle.
         self._caps: Dict[Resource, int] = {}
-        #: Threads currently fetch-stalled by the sharing model.
-        self._over_cap: List[bool] = []
+        #: Threads fetch-stalled by the sharing model this cycle.
+        self._gated: Tuple[int, ...] = ()
         #: Cycles each thread spent fetch-stalled by DCRA (statistic).
         self.stall_cycles: List[int] = []
 
     def on_attach(self) -> None:
         num = self.processor.num_threads
         self.activity = ActivityTracker(num, self.config.activity_window)
-        self._over_cap = [False] * num
+        self._gated = ()
         self.stall_cycles = [0] * num
-        self._slow = [False] * num
         self._caps = {resource: self.processor.resources.totals[resource]
                       for resource in Resource}
         self._equal_split = dict(self._caps)
+        self._custom_slow = type(self)._is_slow is not DcraPolicy._is_slow
         #: Last (slow flags, FP activity flags) the caps were computed
         #: for; caps are recomputed only when this signature changes.
         self._class_sig = None
-        #: Per resource with at least one slow-active thread, the tids to
-        #: check against the cap each cycle.
-        self._gated: List = []
+        self._slow_tids: Tuple[int, ...] = ()
+        #: Per resource with at least one slow-active thread, those tids.
+        self._slow_active: List[Tuple[Resource, List[int]]] = []
+        #: The fetch gate: (usage row, tid, cap) per slow-active pair.
+        self._checks: List[tuple] = []
+        #: Per thread, None (never blocked at rename) or its limits:
+        #: (usage row, cap) per op class, then per ``dest_is_fp``.
+        self._rename_limits: List[Optional[tuple]] = [None] * num
+        #: ROB occupancy when the fetch gate last ran; None while the
+        #: gate must run again before any cycle may be skipped.
+        self._gate_rob_used: Optional[int] = None
 
     def reset_stats(self) -> None:
         """Zero the stall-cycle statistic (control state untouched)."""
@@ -119,9 +142,11 @@ class DcraPolicy(Policy):
     def restore_state(self, state: dict, ops_by_seq=None) -> None:
         self.stall_cycles = list(state["stall_cycles"])
         self.activity.restore_state(state["activity"])
-        # Caps, gating sets and slow flags are recomputed from scratch on
-        # the next begin_cycle (which precedes any rename/fetch query).
+        # Caps, the gate and the rename tables hold the processor's usage
+        # rows, which its restore replaced: recompute them from scratch
+        # on the next begin_cycle (which precedes any rename/fetch query).
         self._class_sig = None
+        self._gate_rob_used = None
 
     # -- classification ------------------------------------------------------
 
@@ -134,99 +159,121 @@ class DcraPolicy(Policy):
     def begin_cycle(self, cycle: int) -> None:
         """Re-evaluate classification, entitlements and enforcement.
 
-        The sharing-model caps depend on the classification only through
-        the slow flags and the FP activity flags, both of which change
-        rarely relative to the cycle clock, so caps (and the set of
-        gated threads) are recomputed only when that signature changes.
-        The occupancy-vs-cap check runs every cycle: occupancy moves
-        with every rename/issue/commit.
+        The paper's hardware re-classifies every cycle; here the control
+        state is event-driven.  The caps depend on the classification
+        only through the slow flags and the FP activity flags, both of
+        which change rarely relative to the cycle clock, so the caps, the
+        fetch gate's check list and the per-thread rename tables are
+        rebuilt only when that signature changes.  Each cycle then costs
+        the slow-flag reads and one occupancy-vs-cap comparison per
+        slow-active (thread, resource) pair: occupancy moves with every
+        rename/issue/commit.
         """
-        processor = self.processor
-        threads = processor.threads
-        num = processor.num_threads
-        if type(self)._is_slow is DcraPolicy._is_slow:
-            # Fast path: the counter reads of the base classification,
-            # without a method call per thread per cycle.
-            if self.config.slow_trigger == "l1d":
-                slow = [t.pending_l1d > 0 for t in threads]
-            else:
-                slow = [t.pending_l2 > 0 for t in threads]
-        else:
+        threads = self.processor.threads
+        if self._custom_slow:
             # _is_slow is the classification extension point; honour
             # subclass overrides at the cost of the per-thread call.
-            slow = [self._is_slow(tid) for tid in range(num)]
-        self._slow = slow
-        sig = (tuple(slow), self.activity.signature())
+            slow = tuple([self._is_slow(tid) for tid in range(len(threads))])
+        elif self.config.slow_trigger == "l1d":
+            slow = tuple([thread.pending_l1d > 0 for thread in threads])
+        else:
+            slow = tuple([thread.pending_l2 > 0 for thread in threads])
+        sig = (slow, self.activity.signature())
         if sig != self._class_sig:
             self._class_sig = sig
             self._recompute_caps(slow)
 
-        over_cap = [False] * num
-        per_thread = processor.resources.per_thread
-        cap_for = self.cap_for
-        for resource, tids in self._gated:
-            usage_row = per_thread[resource]
-            for tid in tids:
-                # A slow-active thread that has consumed its full
-                # entitlement is gated (see ``cap_for`` for the boundary
-                # semantics shared with ``may_rename``).
-                if usage_row[tid] >= cap_for(resource, tid):
-                    over_cap[tid] = True
-        self._over_cap = over_cap
-        stall_cycles = self.stall_cycles
-        for tid in range(num):
-            if over_cap[tid]:
+        # A slow-active thread that has consumed its full entitlement is
+        # gated (see ``cap_for`` for the boundary semantics shared with
+        # ``may_rename``).
+        gated = ()
+        for usage, tid, cap in self._checks:
+            if usage[tid] >= cap and tid not in gated:
+                gated += (tid,)
+        self._gated = gated
+        if gated:
+            stall_cycles = self.stall_cycles
+            for tid in gated:
                 stall_cycles[tid] += 1
+        self._gate_rob_used = self.processor.resources.rob_used
 
-    def _recompute_caps(self, slow: List[bool]) -> None:
+    def _recompute_caps(self, slow: Tuple[bool, ...]) -> None:
         """Refresh per-resource entitlements after a classification change."""
         resources = self.processor.resources
-        num = self.processor.num_threads
+        num = len(slow)
         activity = self.activity
-        gated = []
+        slow_active = []
         for resource in Resource:
             active = [activity.is_active(resource, tid) for tid in range(num)]
             fast_active = sum(1 for tid in range(num)
                               if active[tid] and not slow[tid])
             slow_active_tids = [tid for tid in range(num)
                                 if active[tid] and slow[tid]]
-            slow_active = len(slow_active_tids)
             total = resources.totals[resource]
             if resource in IQ_RESOURCES:
-                cap = self.sharing.share_for_iq(total, fast_active, slow_active)
+                cap = self.sharing.share_for_iq(
+                    total, fast_active, len(slow_active_tids))
             else:
-                cap = self.sharing.share_for_reg(total, fast_active, slow_active)
+                cap = self.sharing.share_for_reg(
+                    total, fast_active, len(slow_active_tids))
             self._caps[resource] = cap
-            active_count = fast_active + slow_active
+            active_count = fast_active + len(slow_active_tids)
             self._equal_split[resource] = (
                 total // active_count if active_count else total)
-            if slow_active:
-                gated.append((resource, slow_active_tids))
-        self._gated = gated
+            if slow_active_tids:
+                slow_active.append((resource, slow_active_tids))
+        self._slow_active = slow_active
+        self._slow_tids = tuple(tid for tid in range(num) if slow[tid])
+        self._rebuild_limits()
+
+    def _rebuild_limits(self) -> None:
+        """Bake ``cap_for`` into the fetch gate's checks and the rename
+        tables; rerun whenever a cap may have changed."""
+        per_thread = self.processor.resources.per_thread
+        caps = {}
+        for resource, tids in self._slow_active:
+            for tid in tids:
+                caps[resource, tid] = self.cap_for(resource, tid)
+        self._checks = [(per_thread[resource], tid, cap)
+                        for (resource, tid), cap in caps.items()]
+        tables: List[Optional[tuple]] = [None] * len(self._rename_limits)
+        if self.config.enforce_at_rename:
+            # Only slow threads are blocked at rename, and only on the
+            # resources they are active for (the ones in ``caps``).
+            for tid in self._slow_tids:
+                limit = {resource: (per_thread[resource],
+                                    caps.get((resource, tid), _NO_CAP))
+                         for resource in Resource}
+                queues = [None] * len(OpClass)
+                for op_class in OpClass:
+                    queues[op_class] = limit[iq_for_class(op_class)]
+                tables[tid] = (queues, (limit[reg_for_dest(False)],
+                                        limit[reg_for_dest(True)]))
+        self._rename_limits = tables
 
     # -- control ---------------------------------------------------------------
 
     def fetch_order(self, cycle: int) -> List[int]:
-        return [tid for tid in icount_order(self.processor)
-                if not self._over_cap[tid]]
+        order = icount_order(self.processor)
+        gated = self._gated
+        if not gated:
+            return order
+        return [tid for tid in order if tid not in gated]
 
     def may_rename(self, tid: int, op: MicroOp) -> bool:
-        if not self.config.enforce_at_rename or not self._slow[tid]:
+        limits = self._rename_limits[tid]
+        if limits is None:
             return True
-        per_thread = self.processor.resources.per_thread
-        activity = self.activity
-        iq = iq_for_class(op.op_class)
+        queues, registers = limits
         # usage >= cap: allocating one more entry would exceed the cap
         # (same boundary as the fetch gate in begin_cycle).
-        if activity.is_active(iq, tid) and \
-                per_thread[iq][tid] >= self.cap_for(iq, tid):
+        usage, cap = queues[op.op_class]
+        if usage[tid] >= cap:
             return False
         static = op.static
         if static.has_dest:
-            reg = reg_for_dest(static.dest_is_fp)
-            if activity.is_active(reg, tid) and \
-                    per_thread[reg][tid] >= self.cap_for(reg, tid):
-                return False
+            usage, cap = registers[static.dest_is_fp]
+            return usage[tid] < cap
         return True
 
     def cap_for(self, resource: Resource, tid: int) -> int:
@@ -238,18 +285,46 @@ class DcraPolicy(Policy):
         compare ``usage >= cap_for(...)``, so the boundary cannot drift
         between them.  The base policy gives every slow-active thread
         the same sharing-model cap; subclasses (e.g. the degenerate-case
-        guard of :mod:`repro.core.adaptive`) override this per thread.
+        guard of :mod:`repro.core.adaptive`) override this per thread
+        and call :meth:`_rebuild_limits` when its value changes.
         """
         return self._caps[resource]
 
     def on_rename(self, tid: int, op: MicroOp) -> None:
-        # Feed the activity counters: note FP queue / FP register use.
-        self.activity.note_use(iq_for_class(op.op_class), tid)
-        if op.static.has_dest:
-            self.activity.note_use(reg_for_dest(op.static.dest_is_fp), tid)
+        # Feed the activity counters, which exist for FP resources only.
+        if op.op_class in _FP_QUEUE_CLASSES:
+            self.activity.note_use(Resource.IQ_FP, tid)
+        static = op.static
+        if static.has_dest and static.dest_is_fp:
+            self.activity.note_use(Resource.REG_FP, tid)
 
     def end_cycle(self, cycle: int) -> None:
         self.activity.tick()
+
+    def quiesce_horizon(self, cycle: int) -> Optional[int]:
+        """The next activity-flag expiry, or ``cycle`` when this cycle's
+        gate may differ from the last one computed.
+
+        That is the case until caps are first computed (after attach or
+        restore), after any rename (renames are the only occupancy
+        change landing after ``begin_cycle`` in a step), and when a flag
+        flipped at the last tick: a flag expiring exactly at this cycle
+        already reads inactive, so the signature the caps were built
+        from is compared, not the flags' next expiry.
+        """
+        if self.processor.resources.rob_used != self._gate_rob_used:
+            return cycle
+        activity = self.activity
+        if activity.signature() is not self._class_sig[1]:
+            return cycle
+        ticks = activity.ticks_until_flip()
+        return None if ticks is None else cycle + ticks
+
+    def on_quiescent_skip(self, cycles: int) -> None:
+        stall_cycles = self.stall_cycles
+        for tid in self._gated:
+            stall_cycles[tid] += cycles
+        self.activity.advance(cycles)
 
     # -- introspection ------------------------------------------------------------
 
@@ -259,4 +334,4 @@ class DcraPolicy(Policy):
 
     def is_fetch_stalled(self, tid: int) -> bool:
         """True while the sharing model is gating ``tid``."""
-        return self._over_cap[tid]
+        return tid in self._gated

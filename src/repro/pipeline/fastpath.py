@@ -22,17 +22,20 @@ through two mechanisms:
   — no ready instructions, no completed ROB heads, every thread blocked
   in fetch and rename, and the policy declares itself
   ``quiesce_safe`` — each future cycle up to the *horizon* (the
-  earliest scheduled event: an MSHR fill, a writeback, an L2-miss
-  detection, a fetch stall expiring, a fetch-queue head maturing, or
-  the policy's own :meth:`~repro.policies.base.Policy.quiesce_horizon`)
-  would repeat the identical no-op step.  The stepper accounts the
-  per-cycle statistics those cycles would have accrued in bulk
-  (fetch/policy stall cycles, slow cycles, the phase histogram, MSHR
-  overlap samples, the periodic trace prune) and jumps the cycle
-  counter to the horizon.  This is where memory-bound workloads win
-  big: a thread sleeping on a 400-cycle memory fill costs O(1) instead
-  of O(400).  Policies that are not ``quiesce_safe`` (DCRA, DCRA-ADAPT
-  and PDG today) still get the fused loop, one step per cycle.
+  earliest scheduled event: the policy's own
+  :meth:`~repro.policies.base.Policy.quiesce_horizon`, asked first, an
+  MSHR fill, a writeback, an L2-miss detection, a fetch stall expiring
+  or a fetch-queue head maturing) would repeat the identical step.  The
+  stepper accounts the per-cycle statistics those cycles would have
+  accrued in bulk (fetch/policy stall cycles, slow cycles, the phase
+  histogram, MSHR overlap samples, the periodic trace prune, and the
+  policy's per-cycle bookkeeping through
+  :meth:`~repro.policies.base.Policy.on_quiescent_skip`) and jumps the
+  cycle counter to the horizon.  This is where memory-bound workloads
+  win big: a thread sleeping on a 400-cycle memory fill costs O(1)
+  instead of O(400).  Every registry policy but PDG is
+  ``quiesce_safe``; PDG (its ``fetch_order`` mutates the gate table)
+  still gets the fused loop, one step per cycle.
 """
 
 from __future__ import annotations
@@ -54,11 +57,18 @@ def quiescence_horizon(processor, cycle: int, end: int):
     ``policy_stall_cycles``.  Returns ``(0, (), ())`` when the machine
     is *not* quiescent at ``cycle`` — any instruction could commit,
     issue, rename or fetch — in which case the caller must run a normal
-    step.  The probe itself is a pure read for ``quiesce_safe``
-    policies (their ``fetch_order``/``may_rename`` are side-effect
-    free).
+    step.  The policy's :meth:`~repro.policies.base.Policy.quiesce_horizon`
+    is asked first, so a policy that knows this cycle must be stepped
+    (DCRA after any rename) ends the probe in one call.  The probe
+    itself is a pure read for ``quiesce_safe`` policies (their
+    ``fetch_order``/``may_rename`` are side-effect free).
     """
     not_quiescent = (0, (), ())
+    horizon = processor.policy.quiesce_horizon(cycle)
+    if horizon is None or horizon > end:
+        horizon = end
+    elif horizon <= cycle:
+        return not_quiescent
     ready = processor._ready
     if ready["int"] or ready["fp"] or ready["ls"]:
         return not_quiescent
@@ -69,7 +79,6 @@ def quiescence_horizon(processor, cycle: int, end: int):
             return not_quiescent
 
     config = processor.config
-    horizon = end
     policy_stalled = []
     if config.decode_width > 0:
         # Every non-empty fetch queue's head must be blocked: too young
@@ -128,9 +137,6 @@ def quiescence_horizon(processor, cycle: int, end: int):
         due = min(entry.fill_cycle for entry in entries.values())
         if due < horizon:
             horizon = due
-    policy_due = processor.policy.quiesce_horizon(cycle)
-    if policy_due is not None and policy_due < horizon:
-        horizon = policy_due
     return horizon, stalled, policy_stalled
 
 
@@ -159,6 +165,9 @@ def run_fast(processor, cycles: int) -> None:
                    if cls.begin_cycle is not _Base.begin_cycle else None)
     end_cycle = (policy.end_cycle
                  if cls.end_cycle is not _Base.end_cycle else None)
+    on_skip = (policy.on_quiescent_skip
+               if cls.on_quiescent_skip is not _Base.on_quiescent_skip
+               else None)
     threads = processor.threads
     completions = processor._completions
     detections = processor._l2_detect_events
@@ -185,6 +194,8 @@ def run_fast(processor, cycles: int) -> None:
                     thread.stats.fetch_stall_cycles += skipped
                 for thread in policy_stalled:
                     thread.stats.policy_stall_cycles += skipped
+                if on_skip is not None:
+                    on_skip(skipped)
                 phase_counts = processor.phase_counts
                 slow_threads = 0
                 for thread in threads:

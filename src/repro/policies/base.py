@@ -67,12 +67,14 @@ class Policy:
     #: skip over machine-quiescent cycles under this policy.  Safe means:
     #: ``fetch_order`` and ``may_rename`` are pure functions of state
     #: that is frozen while the machine is quiescent, and ``begin_cycle``
-    #: / ``end_cycle`` do nothing on such cycles (or declare when they
-    #: next do something via :meth:`quiesce_horizon`).  Defaults to
-    #: False so unknown subclasses overriding per-cycle hooks are
-    #: conservatively stepped cycle-by-cycle; the whitelisted policies
-    #: opt in explicitly and are pinned bitwise against the one-cycle
-    #: ``step()`` loop by ``tests/test_fastpath.py``.
+    #: / ``end_cycle`` either do nothing on such cycles, declare when
+    #: they next do something via :meth:`quiesce_horizon`, or do the
+    #: same thing every such cycle, which :meth:`on_quiescent_skip`
+    #: applies in bulk.  Defaults to False so unknown subclasses
+    #: overriding per-cycle hooks are conservatively stepped
+    #: cycle-by-cycle; the whitelisted policies opt in explicitly and
+    #: are pinned bitwise against the one-cycle ``step()`` loop by
+    #: ``tests/test_fastpath.py``.
     quiesce_safe = False
 
     def __init__(self) -> None:
@@ -128,14 +130,25 @@ class Policy:
         """Next cycle at which this policy performs per-cycle work.
 
         Consulted by the fast stepper only for ``quiesce_safe``
-        policies, when the machine is quiescent at ``cycle``: the
-        stepper will not skip past the returned cycle.  None (the
-        default) means the policy never acts on quiescent cycles.
-        Policies with windowed bookkeeping (FLUSH++'s score decay)
-        return their next window boundary — returning ``cycle`` itself
-        forces a normal step now.
+        policies, first of all its quiescence checks at ``cycle``: the
+        stepper will not skip past the returned cycle, and returning
+        ``cycle`` itself forces a normal step now.  None (the default)
+        means the policy never acts on quiescent cycles.  Policies with
+        windowed bookkeeping (FLUSH++'s score decay) return their next
+        window boundary.  Per-cycle work that is identical on every
+        skipped cycle needs no horizon: :meth:`on_quiescent_skip`
+        accounts it when the stepper skips.
         """
         return None
+
+    def on_quiescent_skip(self, cycles: int) -> None:
+        """The fast stepper skipped ``cycles`` quiescent cycles.
+
+        Called once per skipped span, before the cycle counter jumps:
+        apply in bulk whatever ``begin_cycle``/``end_cycle`` would have
+        done on each of those cycles (DCRA: its stall statistic and the
+        activity counters' decay).  A no-op by default.
+        """
 
     def may_rename(self, tid: int, op: "MicroOp") -> bool:
         """Whether ``tid`` may allocate the resources ``op`` needs now."""

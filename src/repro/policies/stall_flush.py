@@ -89,6 +89,8 @@ class FlushPlusPlusPolicy(FlushPolicy):
         super().__init__()
         if flush_threshold < 1:
             raise ValueError("flush_threshold must be at least 1")
+        if window < 1:
+            raise ValueError("window must be at least 1")
         self.flush_threshold = flush_threshold
         self.window = window
         self.mem_bound_score = mem_bound_score

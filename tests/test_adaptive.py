@@ -75,6 +75,10 @@ class TestProbing:
         assert policy.name == "DCRA-ADAPT"
         policy = make_policy("DCRA-ADAPT", window=128)
         assert policy.adaptive.window == 128
+        for kwargs in ({"window": 0}, {"window": -5},
+                       {"settle_windows": 0}):
+            with pytest.raises(ValueError):
+                make_policy("DCRA-ADAPT", **kwargs)
 
 
 class TestVerdicts:
@@ -102,6 +106,48 @@ class TestVerdicts:
         policy._window_slow_cycles[tid] = 500
         policy._end_window()
         assert not policy.is_clamped(tid)
+
+    def test_verdict_reaches_rename_gate_in_the_same_cycle(self):
+        """A verdict lands after the cycle's fetch gate ran: renames in
+        that cycle and the next cycle's fetch gate see the new cap."""
+        from repro.isa.instruction import MicroOp, OpClass, StaticOp
+
+        processor, policy = build()
+        tid = 0
+        processor.threads[tid].pending_l1d = 1
+        policy.begin_cycle(1)
+        split = policy._equal_split[Resource.IQ_LS]
+        assert split < policy.cap_for(Resource.IQ_LS, tid)
+        for _ in range(split):
+            processor.resources.acquire(Resource.IQ_LS, tid)
+        op = MicroOp(StaticOp(OpClass.LOAD, 0x100, mem_addr=0x40),
+                     tid, 0, 0, False, 0)
+        assert policy.may_rename(tid, op)  # below the borrowed cap
+        policy._state[tid] = 1  # the clamp probe ends at cycle 500
+        policy._probe_rates[tid][0] = 0.10
+        policy._window_start_commits[tid] = \
+            processor.threads[tid].stats.committed - 50
+        policy._window_slow_cycles[tid] = 500
+        policy.begin_cycle(500)
+        assert policy.is_clamped(tid)
+        assert not policy.is_fetch_stalled(tid)
+        assert not policy.may_rename(tid, op)
+        assert policy.quiesce_horizon(501) == 501
+        policy.begin_cycle(501)
+        assert policy.is_fetch_stalled(tid)
+
+    def test_horizon_pins_window_boundaries(self):
+        _, policy = build()
+        for cycle in range(500):
+            policy.begin_cycle(cycle)
+            policy.end_cycle(cycle)
+        assert policy.quiesce_horizon(500) == 500
+        policy.begin_cycle(500)
+        policy.end_cycle(500)
+        assert policy.quiesce_horizon(501) == 501
+        policy.begin_cycle(501)
+        policy.end_cycle(501)
+        assert policy.quiesce_horizon(502) == 1000
 
     def test_verdict_expires_after_settle_windows(self):
         processor, policy = build(

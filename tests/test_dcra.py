@@ -26,8 +26,10 @@ class TestConfig:
         assert config.slow_trigger == "l1d"
 
     def test_invalid_trigger(self):
-        with pytest.raises(ValueError):
-            DcraConfig(slow_trigger="l3")
+        for kwargs in ({"slow_trigger": "l3"}, {"activity_window": 0},
+                       {"activity_window": -5}):
+            with pytest.raises(ValueError):
+                DcraConfig(**kwargs)
 
 
 class TestClassification:
@@ -194,6 +196,39 @@ class TestRenameEnforcement:
             processor.resources.acquire(Resource.IQ_LS, 0)
         op = self._renamed_load(processor, 0)
         assert policy.may_rename(0, op)
+
+
+class TestQuiescence:
+    """The fast stepper may skip a cycle only while the gate is current."""
+
+    def test_horizon_forces_a_step_while_the_gate_may_be_stale(self):
+        processor, policy = build(dcra=DcraConfig(activity_window=4))
+        assert policy.quiesce_horizon(0) == 0  # no caps computed yet
+        for cycle in range(3):
+            policy.begin_cycle(cycle)
+            policy.end_cycle(cycle)
+        # Every FP counter was reset at tick 0 and expires at tick 4.
+        assert policy.quiesce_horizon(3) == 4
+        policy.begin_cycle(3)
+        policy.end_cycle(3)
+        # The flags flipped at the last tick: the caps are stale now.
+        assert policy.quiesce_horizon(4) == 4
+        policy.begin_cycle(4)
+        assert policy.quiesce_horizon(4) is None  # nothing left to expire
+        processor.resources.acquire_rob(0)  # what a rename would do
+        assert policy.quiesce_horizon(4) == 4
+
+    def test_skip_accounts_stall_cycles_and_counter_decay(self):
+        processor, policy = build()
+        processor.threads[0].pending_l1d = 1
+        for _ in range(80):
+            processor.resources.acquire(Resource.IQ_LS, 0)
+        policy.begin_cycle(0)
+        policy.end_cycle(0)
+        assert policy.stall_cycles == [1, 0]
+        policy.on_quiescent_skip(10)
+        assert policy.stall_cycles == [11, 0]
+        assert policy.activity.counter(Resource.IQ_FP, 0) == 256 - 11
 
 
 class TestEndToEnd:

@@ -27,13 +27,33 @@ MIXES = {
     2: ["gzip", "mcf"],
     4: ["gzip", "mcf", "gcc", "twolf"],
     6: ["gzip", "mcf", "gcc", "twolf", "eon", "art"],
+    # FP-heavy: DCRA's FP activity flags expire and re-arm mid-run.
+    "fma3d+mesa": ["fma3d", "mesa"],
 }
+
+#: DCRA configurations whose fast-forward differs from the default's:
+#: a shorter activity window and the L2 slow trigger (on the FP-heavy
+#: pair, both let a flag expire exactly at a cycle the stepper probes),
+#: fetch-only enforcement, and a DCRA-ADAPT window ending inside the run.
+DCRA_VARIANTS = [
+    ("DCRA", {"activity_window": 64}),
+    ("DCRA", {"slow_trigger": "l2"}),
+    ("DCRA", {"enforce_at_rename": False}),
+    ("DCRA-ADAPT", {"window": 256}),
+]
+
+
+def _spec_id(value):
+    if isinstance(value, dict):
+        return ",".join(f"{key}={item}" for key, item in value.items()) \
+            or "default"
+    return value
 
 #: Policies whose per-cycle hooks / fetch_order are side-effect free on
 #: quiescent cycles; anything outside this list must keep the
 #: conservative default (False) so the fast-forward never skips work.
 QUIESCE_SAFE = {"ROUND-ROBIN", "ICOUNT", "STALL", "FLUSH", "FLUSH++",
-                "DG", "SRA"}
+                "DG", "SRA", "DCRA", "DCRA-ADAPT"}
 
 
 def _state_digest(processor):
@@ -55,22 +75,53 @@ def _stepped(policy, benchmarks):
     return processor
 
 
-@pytest.mark.parametrize("threads", sorted(MIXES))
+@pytest.mark.parametrize("mix", list(MIXES))
 @pytest.mark.parametrize("policy", POLICY_NAMES)
-def test_run_fast_bitwise_matrix(policy, threads):
-    """All registry policies x 1/2/4/6 threads: ``run_fast`` and chunked
-    ``run`` reach the stepped state, phase histogram included."""
-    reference = _state_digest(_stepped(policy, MIXES[threads]))
-    fast = _processor(policy, MIXES[threads])
+def test_run_fast_bitwise_matrix(policy, mix):
+    """All registry policies x 1/2/4/6 threads and an FP-heavy pair:
+    ``run_fast`` and chunked ``run`` reach the stepped state, phase
+    histogram included."""
+    reference = _state_digest(_stepped(policy, MIXES[mix]))
+    fast = _processor(policy, MIXES[mix])
     run_fast(fast, CYCLES)
     assert fast.cycle == CYCLES
     assert _state_digest(fast) == reference
     assert sum(fast.phase_counts) == CYCLES
 
-    chunked = _processor(policy, MIXES[threads])
+    chunked = _processor(policy, MIXES[mix])
     for chunk in RUN_CHUNKS:
         chunked.run(chunk)
     assert _state_digest(chunked) == reference
+
+
+@pytest.mark.parametrize("name,kwargs", DCRA_VARIANTS, ids=_spec_id)
+def test_run_fast_bitwise_dcra_variants(name, kwargs):
+    """DCRA's fast-forward stays exact across its configurations."""
+    policy = (name, kwargs)
+    benchmarks = MIXES["fma3d+mesa"]
+    reference = _state_digest(_stepped(policy, benchmarks))
+    fast = _processor(policy, benchmarks)
+    run_fast(fast, CYCLES)
+    assert _state_digest(fast) == reference
+
+
+@pytest.mark.parametrize("name,kwargs", [("DCRA", {}),
+                                         ("DCRA-ADAPT", {"window": 256})],
+                         ids=_spec_id)
+def test_run_fast_resumes_from_restore(name, kwargs):
+    """``run_fast`` to mid-run, capture, restore into a fresh processor
+    and ``run_fast`` on: the stepped state, although the restored
+    policy starts with no caps or gate computed."""
+    policy = (name, kwargs)
+    benchmarks = MIXES["fma3d+mesa"]
+    reference = _state_digest(_stepped(policy, benchmarks))
+    first = _processor(policy, benchmarks)
+    run_fast(first, 700)
+    state = json.loads(json.dumps(first.capture_state()))
+    resumed = _processor(policy, benchmarks)
+    resumed.restore_state(state)
+    run_fast(resumed, CYCLES - 700)
+    assert _state_digest(resumed) == reference
 
 
 @pytest.mark.parametrize("policy", ["ICOUNT", "DCRA", "FLUSH++"])

@@ -127,8 +127,10 @@ class TestFlushPlusPlus:
         assert policy._scores[0] == 4.0
 
     def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            FlushPlusPlusPolicy(flush_threshold=0)
+        for kwargs in ({"flush_threshold": 0}, {"window": 0},
+                       {"window": -3}):
+            with pytest.raises(ValueError):
+                make_policy("FLUSH++", **kwargs)
 
 
 class TestDataGating:
