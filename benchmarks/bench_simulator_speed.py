@@ -313,6 +313,74 @@ def test_checkpoint_throughput(benchmark, tmp_path, monkeypatch):
     assert roundtrip_s < warmup_s or roundtrip_s - warmup_s < 0.05
 
 
+#: The 4-thread Table 2 mix the construction entries build.
+_MIX4 = ("gzip", "twolf", "bzip2", "mcf")
+
+
+def _constructions_per_sec(build, rounds=5, per_round=10):
+    """Median over rounds of processors built per second."""
+    import statistics
+    import time
+
+    rates = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        for _ in range(per_round):
+            build()
+        rates.append(per_round / (time.perf_counter() - start))
+    return statistics.median(rates)
+
+
+def test_construction_speed(benchmark):
+    """Fixed cost of every run: fresh 4-thread Table 2 processors (cache
+    pre-warm included) built per second."""
+    profiles = [get_profile(b) for b in _MIX4]
+
+    def build():
+        return SMTProcessor(SMTConfig(), profiles, make_policy("DCRA"),
+                            seed=1)
+
+    rate = benchmark.pedantic(_constructions_per_sec, args=(build,),
+                              rounds=1, iterations=1)
+    _MEASUREMENTS["processor construction"] = {
+        "benchmarks": list(_MIX4),
+        "policy": "DCRA",
+        "ops_per_sec": round(rate, 1),
+    }
+    print(f"\nprocessor construction (4-thread Table 2): "
+          f"{rate:,.1f} processors/s")
+
+
+def test_checkpoint_restore_speed(benchmark, tmp_path, monkeypatch):
+    """Fixed cost of a checkpointed run: processors built per second from
+    a stored 4-thread warm-up state (restored, never pre-warmed)."""
+    from repro.harness.checkpoints import CheckpointStore
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    profiles = [get_profile(b) for b in _MIX4]
+    warmed = SMTProcessor(SMTConfig(), profiles, make_policy("DCRA"), seed=1)
+    warmed.run(1_000)
+    CheckpointStore().put("bench-restore", {"state": warmed.capture_state()})
+    # A fresh store serves the entry from disk, as a later process would.
+    state = CheckpointStore().require("bench-restore")["state"]
+
+    def build():
+        return SMTProcessor(SMTConfig(), profiles, make_policy("DCRA"),
+                            seed=1, state=state)
+
+    rate = benchmark.pedantic(_constructions_per_sec, args=(build,),
+                              rounds=1, iterations=1)
+    _MEASUREMENTS["checkpoint restore"] = {
+        "benchmarks": list(_MIX4),
+        "policy": "DCRA",
+        "warmed_cycles": warmed.cycle,
+        "ops_per_sec": round(rate, 1),
+    }
+    print(f"\ncheckpoint restore (4-thread, {warmed.cycle}-cycle warm-up): "
+          f"{rate:,.1f} processors/s")
+    assert build().capture_state() == warmed.capture_state()
+
+
 def test_broker_service_throughput(benchmark, tmp_path, monkeypatch):
     """Broker submit-to-result latency and multi-client sweep throughput.
 

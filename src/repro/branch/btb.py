@@ -63,9 +63,25 @@ class BranchTargetBuffer:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Overwrite contents and counters from :meth:`capture_state`."""
+        """Overwrite contents and counters from :meth:`capture_state`.
+
+        Raises:
+            SnapshotError: the snapshot has a different set count, or a
+                set holding more entries than this BTB's associativity.
+        """
+        from repro.snapshot import SnapshotError
+
+        entry_sets = state["sets"]
+        if len(entry_sets) != self.num_sets:
+            raise SnapshotError(
+                f"BTB snapshot has {len(entry_sets)} sets, the BTB has "
+                f"{self.num_sets}")
+        if max(map(len, entry_sets), default=0) > self.assoc:
+            raise SnapshotError(
+                f"BTB snapshot holds a set of more than {self.assoc} "
+                f"entries (the BTB's associativity)")
         self._sets = [[(tag, target) for tag, target in entry_set]
-                      for entry_set in state["sets"]]
+                      for entry_set in entry_sets]
         self.hits = state["hits"]
         self.misses = state["misses"]
 

@@ -52,8 +52,19 @@ class GsharePredictor:
         return {"table": list(self._table)}
 
     def restore_state(self, state: dict) -> None:
-        """Overwrite the pattern table from :meth:`capture_state`."""
-        self._table = bytearray(state["table"])
+        """Overwrite the pattern table from :meth:`capture_state`.
+
+        Raises:
+            SnapshotError: the snapshot's table has another length.
+        """
+        from repro.snapshot import SnapshotError
+
+        table = state["table"]
+        if len(table) != self.entries:
+            raise SnapshotError(
+                f"gshare snapshot has {len(table)} counters, the table "
+                f"has {self.entries}")
+        self._table = bytearray(table)
 
     def _index(self, pc: int, history: int) -> int:
         return ((pc >> 2) ^ (history & self._hist_mask)) & self._mask

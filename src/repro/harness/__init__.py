@@ -45,160 +45,69 @@ reachable as ``--jobs`` / ``--executor`` / ``--reuse`` on
 ``python -m repro`` and ``scripts/run_all_experiments.py``).
 """
 
-from repro.harness.engine import (
-    ReplicatedRun,
-    SimJob,
-    derive_seed,
-    derive_seeds,
-    ensure_baselines,
-    ensure_baselines_sweep,
-    executor_scope,
-    map_jobs_stored,
-    parallel_map,
-    parallel_map_streaming,
-    replicate_job,
-    run_job,
-    run_jobs,
-    run_jobs_streaming,
-    run_replicated,
-)
-from repro.harness.results import (
-    REUSE_MODES,
-    ResultStore,
-    ResultStoreMiss,
-    cache_key,
-    job_token,
-    policy_token,
-    result_store,
-    source_fingerprint,
-)
-from repro.harness.scenario import (
-    CompiledScenario,
-    Scenario,
-    ScenarioRun,
-    SweepAxis,
-    SweepPoint,
-    load_scenario,
-    run_scenario,
-    save_scenario,
-    scenario_from_dict,
-    scenario_report,
-    scenario_to_dict,
-    sweep_axis,
-    sweep_point,
-)
-from repro.harness.progress import (
-    IntervalProgress,
-    emit_progress,
-    progress_sink,
-    set_progress_sink,
-)
-from repro.harness.executors import (
-    EXECUTOR_NAMES,
-    BrokerExecutor,
-    Executor,
-    ProcessExecutor,
-    RemoteExecutor,
-    SerialExecutor,
-    make_executor,
-)
-from repro.harness.broker import (
-    Broker,
-    BrokerClient,
-    BrokerRejection,
-    FairQueue,
-)
-from repro.harness.runner import (
-    BaselineCache,
-    DEFAULT_INTERVAL_CYCLES,
-    IntervalRun,
-    PolicyEvaluation,
-    baseline_cache,
-    clear_baseline_cache,
-    evaluate_workload,
-    run_benchmarks,
-    run_benchmarks_intervals,
-    run_workload,
-    run_workload_intervals,
-    single_thread_ipc,
-)
-from repro.harness.warmup import (
-    WarmupPolicy,
-    WarmupSpec,
-    as_warmup_policy,
-    parse_warmup_argument,
-    parse_warmup_spec,
-    warmup_cache_token,
-)
+import importlib
 
-__all__ = [
-    "BaselineCache",
-    "Broker",
-    "BrokerClient",
-    "BrokerExecutor",
-    "BrokerRejection",
-    "CompiledScenario",
-    "FairQueue",
-    "DEFAULT_INTERVAL_CYCLES",
-    "EXECUTOR_NAMES",
-    "Executor",
-    "IntervalProgress",
-    "IntervalRun",
-    "PolicyEvaluation",
-    "ProcessExecutor",
-    "REUSE_MODES",
-    "RemoteExecutor",
-    "ReplicatedRun",
-    "ResultStore",
-    "ResultStoreMiss",
-    "Scenario",
-    "ScenarioRun",
-    "SerialExecutor",
-    "SimJob",
-    "SweepAxis",
-    "SweepPoint",
-    "WarmupPolicy",
-    "WarmupSpec",
-    "as_warmup_policy",
-    "baseline_cache",
-    "cache_key",
-    "clear_baseline_cache",
-    "derive_seed",
-    "derive_seeds",
-    "emit_progress",
-    "ensure_baselines",
-    "ensure_baselines_sweep",
-    "evaluate_workload",
-    "executor_scope",
-    "job_token",
-    "load_scenario",
-    "make_executor",
-    "map_jobs_stored",
-    "parallel_map",
-    "parallel_map_streaming",
-    "parse_warmup_argument",
-    "parse_warmup_spec",
-    "policy_token",
-    "progress_sink",
-    "replicate_job",
-    "result_store",
-    "run_benchmarks",
-    "run_benchmarks_intervals",
-    "run_job",
-    "run_jobs",
-    "run_jobs_streaming",
-    "run_replicated",
-    "run_scenario",
-    "run_workload",
-    "run_workload_intervals",
-    "save_scenario",
-    "scenario_from_dict",
-    "scenario_report",
-    "scenario_to_dict",
-    "set_progress_sink",
-    "single_thread_ipc",
-    "source_fingerprint",
-    "sweep_axis",
-    "sweep_point",
-    "warmup_cache_token",
-]
+#: The names this package re-exports, by the module that defines them.
+#: They resolve on first attribute access (PEP 562): importing one
+#: harness module, such as the runner a simulation needs or the remote
+#: worker, then leaves the engine, executor, broker and scenario layers
+#: (and asyncio, ssl and http with them) unimported.
+_MODULE_EXPORTS = {
+    "engine": (
+        "ReplicatedRun", "SimJob", "derive_seed", "derive_seeds",
+        "ensure_baselines", "ensure_baselines_sweep", "executor_scope",
+        "map_jobs_stored", "parallel_map", "parallel_map_streaming",
+        "replicate_job", "run_job", "run_jobs", "run_jobs_streaming",
+        "run_replicated",
+    ),
+    "results": (
+        "REUSE_MODES", "ResultStore", "ResultStoreMiss", "cache_key",
+        "job_token", "policy_token", "result_store", "source_fingerprint",
+    ),
+    "scenario": (
+        "CompiledScenario", "Scenario", "ScenarioRun", "SweepAxis",
+        "SweepPoint", "load_scenario", "run_scenario", "save_scenario",
+        "scenario_from_dict", "scenario_report", "scenario_to_dict",
+        "sweep_axis", "sweep_point",
+    ),
+    "progress": (
+        "IntervalProgress", "emit_progress", "progress_sink",
+        "set_progress_sink",
+    ),
+    "executors": (
+        "EXECUTOR_NAMES", "BrokerExecutor", "Executor", "ProcessExecutor",
+        "RemoteExecutor", "SerialExecutor", "make_executor",
+    ),
+    "broker": (
+        "Broker", "BrokerClient", "BrokerRejection", "FairQueue",
+    ),
+    "runner": (
+        "BaselineCache", "DEFAULT_INTERVAL_CYCLES", "IntervalRun",
+        "PolicyEvaluation", "baseline_cache", "clear_baseline_cache",
+        "evaluate_workload", "run_benchmarks", "run_benchmarks_intervals",
+        "run_workload", "run_workload_intervals", "single_thread_ipc",
+    ),
+    "warmup": (
+        "WarmupPolicy", "WarmupSpec", "as_warmup_policy",
+        "parse_warmup_argument", "parse_warmup_spec", "warmup_cache_token",
+    ),
+}
+_EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items()
+            for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import a re-exported name's module on first access (PEP 562)."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    """Loaded attributes plus every lazily resolved export."""
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -207,11 +207,16 @@ def _build_processor(
     policy: PolicySpec,
     config: Optional[SMTConfig],
     seed: int,
+    state: Optional[dict] = None,
+    restore_policy: bool = True,
 ) -> SMTProcessor:
-    """One place constructing the simulator every runner shares."""
+    """One place constructing the simulator every runner shares
+    (``state``/``restore_policy``: build it restored from a captured
+    tree, see :class:`SMTProcessor`)."""
     config = config or SMTConfig()
     profiles = [get_profile(b) for b in benchmarks]
-    return SMTProcessor(config, profiles, _build_policy(policy), seed=seed)
+    return SMTProcessor(config, profiles, _build_policy(policy), seed=seed,
+                        state=state, restore_policy=restore_policy)
 
 
 def _adaptive_warmup_chunk(plan: WarmupPolicy, default: int) -> int:
@@ -335,9 +340,8 @@ def _warmed_processor(
             benchmarks, prefix_policy, config, warmup, seed, interval_cycles)
         if mode != "off":
             store.put(token, payload)
-    processor = _build_processor(benchmarks, policy, config, seed)
-    processor.restore_state(
-        payload["state"],
+    processor = _build_processor(
+        benchmarks, policy, config, seed, state=payload["state"],
         restore_policy=payload["policy"] == measured_token)
     snapshots = [_snapshot_from_payload(s) for s in payload["discarded"]]
     return (processor, payload["warmup_cycles"],

@@ -143,12 +143,20 @@ def encode_static(op: StaticOp) -> list:
             op.latency]
 
 
+#: Enum members by value, for decoding snapshot rows: a dict lookup is
+#: much cheaper than an enum call and still raises (KeyError) on a
+#: value that names no member.
+OP_CLASS_BY_VALUE = {int(member): member for member in OpClass}
+_BRANCH_KIND_BY_VALUE = {int(member): member for member in BranchKind}
+
+
 def decode_static(row) -> StaticOp:
     """Exact inverse of :func:`encode_static`."""
     (op_class, pc, dest_is_fp, src_dists, mem_addr, branch_kind, taken,
      target, latency) = row
-    return StaticOp(OpClass(op_class), pc, dest_is_fp, tuple(src_dists),
-                    mem_addr, BranchKind(branch_kind), taken, target,
+    return StaticOp(OP_CLASS_BY_VALUE[op_class], pc, dest_is_fp,
+                    tuple(src_dists), mem_addr,
+                    _BRANCH_KIND_BY_VALUE[branch_kind], taken, target,
                     latency)
 
 

@@ -107,9 +107,25 @@ class Cache:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Overwrite contents and counters from :meth:`capture_state`."""
-        self._sets = [OrderedDict((tag, True) for tag in tags)
-                      for tags in state["sets"]]
+        """Overwrite contents and counters from :meth:`capture_state`.
+
+        Raises:
+            SnapshotError: the snapshot has a different set count, or a
+                set holding more lines than this cache's associativity
+                (it was captured from another geometry).
+        """
+        from repro.snapshot import SnapshotError
+
+        tag_lists = state["sets"]
+        if len(tag_lists) != self.num_sets:
+            raise SnapshotError(
+                f"{self.name} snapshot has {len(tag_lists)} sets, the "
+                f"cache has {self.num_sets}")
+        if max(map(len, tag_lists), default=0) > self.assoc:
+            raise SnapshotError(
+                f"{self.name} snapshot holds a set of more than "
+                f"{self.assoc} lines (the cache's associativity)")
+        self._sets = [OrderedDict.fromkeys(tags, True) for tags in tag_lists]
         self.hits = state["hits"]
         self.misses = state["misses"]
 

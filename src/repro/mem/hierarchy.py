@@ -353,16 +353,41 @@ class MemoryHierarchy:
         """
         if kind not in ("code", "hot", "warm"):
             raise ValueError(f"unknown prewarm kind {kind!r}")
-        line = self.l1d.line_bytes
-        for addr in range(base, base + size, line):
-            victim = self.l2.fill(addr)
-            if victim is not None and self.inclusive_l2:
-                self.l1d.invalidate(victim)
-                self.l1i.invalidate(victim)
-            if kind == "code":
-                self.l1i.fill(addr)
-            elif kind == "hot":
-                self.l1d.fill(addr)
+        # Cache.fill and Cache.invalidate inlined over the region's line
+        # numbers (all levels share the line size, so a line number is
+        # every cache's tag): the contents and LRU order of filling line
+        # by line, without a method call per line.  Address
+        # ``base + i * line`` is line ``(base >> offset) + i`` even when
+        # ``base`` is not line-aligned.
+        l2, l1d, l1i = self.l2, self.l1d, self.l1i
+        first = base >> l2._offset_bits
+        lines = range(first, first + len(range(base, base + size,
+                                               l2.line_bytes)))
+        l2_sets, l2_mask, l2_assoc = l2._sets, l2._set_mask, l2.assoc
+        l1 = l1i if kind == "code" else l1d if kind == "hot" else None
+        if l1 is not None:
+            l1_sets, l1_mask, l1_assoc = l1._sets, l1._set_mask, l1.assoc
+        inclusive = self.inclusive_l2
+        for line in lines:
+            cache_set = l2_sets[line & l2_mask]
+            if line in cache_set:
+                cache_set.move_to_end(line)
+            else:
+                if len(cache_set) >= l2_assoc:
+                    victim = cache_set.popitem(last=False)[0]
+                    if inclusive:
+                        l1d._sets[victim & l1d._set_mask].pop(victim, None)
+                        l1i._sets[victim & l1i._set_mask].pop(victim, None)
+                cache_set[line] = True
+            if l1 is None:
+                continue
+            cache_set = l1_sets[line & l1_mask]
+            if line in cache_set:
+                cache_set.move_to_end(line)
+            else:
+                if len(cache_set) >= l1_assoc:
+                    cache_set.popitem(last=False)
+                cache_set[line] = True
         if kind == "hot":
             for addr in range(base, base + size, self.dtlb.page_bytes):
                 self.dtlb.access(addr)

@@ -131,7 +131,17 @@ class MSHRFile:
             waiter_factory: maps a captured load ``seq`` back to a live
                 wake-up callback (the processor's ``_make_waiter`` over
                 its restored ops).  Required when any entry has waiters.
+
+        Raises:
+            SnapshotError: the snapshot holds more entries than this
+                file's capacity.
         """
+        from repro.snapshot import SnapshotError
+
+        if len(state["entries"]) > self.capacity:
+            raise SnapshotError(
+                f"MSHR snapshot holds {len(state['entries'])} entries, the "
+                f"file has {self.capacity}")
         self._entries = {}
         self._outstanding_l2 = 0
         for line_addr, fill_cycle, is_l2_miss, tid, is_ifetch, waiters \

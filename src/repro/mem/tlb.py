@@ -61,8 +61,20 @@ class TranslationBuffer:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Overwrite translations and counters from :meth:`capture_state`."""
-        self._pages = OrderedDict((page, True) for page in state["pages"])
+        """Overwrite translations and counters from :meth:`capture_state`.
+
+        Raises:
+            SnapshotError: the snapshot holds more pages than this TLB
+                has entries (it was captured from another geometry).
+        """
+        from repro.snapshot import SnapshotError
+
+        pages = state["pages"]
+        if len(pages) > self.entries:
+            raise SnapshotError(
+                f"TLB snapshot holds {len(pages)} pages, the TLB has "
+                f"{self.entries} entries")
+        self._pages = OrderedDict.fromkeys(pages, True)
         self.hits = state["hits"]
         self.misses = state["misses"]
 

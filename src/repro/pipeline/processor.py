@@ -62,6 +62,13 @@ class SMTProcessor:
         profiles: one benchmark profile per hardware context.
         policy: fetch/allocation policy (attached via ``policy.attach``).
         seed: base RNG seed; each thread derives its own stream from it.
+        state: a tree from :meth:`capture_state` to build the processor
+            from.  The processor is then restored from it instead of
+            pre-warmed: the restore overwrites every cache and TLB line
+            the pre-warm would install, so skipping it is exact and the
+            result equals construct-then-:meth:`restore_state`.
+        restore_policy: with ``state``, also restore policy-internal
+            state (see :meth:`restore_state`).
     """
 
     def __init__(
@@ -70,6 +77,8 @@ class SMTProcessor:
         profiles: Sequence[BenchmarkProfile],
         policy,
         seed: int = 0,
+        state: Optional[dict] = None,
+        restore_policy: bool = True,
     ) -> None:
         if not profiles:
             raise ValueError("at least one thread profile is required")
@@ -111,7 +120,7 @@ class SMTProcessor:
             self.threads.append(
                 ThreadContext(tid, TraceBuffer(generator), config.fetch_queue_size)
             )
-        if config.prewarm_caches:
+        if config.prewarm_caches and state is None:
             self._prewarm()
         self._seq = 0
         self._completions: Dict[int, List[MicroOp]] = {}
@@ -153,6 +162,8 @@ class SMTProcessor:
         self._policy_on_l1d_miss = (
             policy.on_l1d_miss
             if cls.on_l1d_miss is not _Base.on_l1d_miss else None)
+        if state is not None:
+            self.restore_state(state, restore_policy)
 
     def _prewarm(self) -> None:
         """Install steady-state cache contents (see ``prewarm_caches``).
@@ -439,9 +450,12 @@ class SMTProcessor:
 
         The target must be freshly constructed with the same config,
         profiles and thread count (config-derived state is not in the
-        tree).  Running the restored processor is bitwise-identical to
-        running the captured one — the invariant the checkpoint test
-        suite pins.
+        tree; a thread count or structure geometry that differs raises
+        :class:`~repro.snapshot.SnapshotError`).  Running the restored
+        processor is bitwise-identical to running the captured one — the
+        invariant the checkpoint test suite pins.  Passing the tree to
+        the constructor (``state=``) restores it without pre-warming
+        first.
 
         Args:
             state: a tree produced by :meth:`capture_state`.

@@ -18,7 +18,12 @@ import math
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa.instruction import BranchKind, OpClass, StaticOp
+from repro.isa.instruction import (
+    OP_CLASS_BY_VALUE,
+    BranchKind,
+    OpClass,
+    StaticOp,
+)
 from repro.trace.profiles import (
     COLD_REGION_BYTES,
     HOT_REGION_BYTES,
@@ -176,7 +181,7 @@ class SyntheticTraceGenerator:
         self._call_stack = list(state["call_stack"])
         self._branch_sites = int_dict_from_pairs(state["branch_sites"])
         self._branch_targets = int_dict_from_pairs(state["branch_targets"])
-        self._pc_class = {int(pc): OpClass(cls)
+        self._pc_class = {pc: OP_CLASS_BY_VALUE[cls]
                           for pc, cls in state["pc_class"]}
         self._instr_count = state["instr_count"]
         self._since_load = state["since_load"]

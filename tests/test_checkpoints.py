@@ -44,6 +44,8 @@ from repro.harness.runner import (
 )
 from repro.harness.scenario import Scenario, run_scenario
 from repro.harness.warmup import WarmupPolicy, as_warmup_policy
+from repro.mem.hierarchy import MemoryHierarchy
+from repro.pipeline.config import SMTConfig
 from repro.policies.registry import POLICY_NAMES
 from repro.snapshot import SNAPSHOT_VERSION, SnapshotError
 
@@ -59,6 +61,15 @@ def result_key(result):
     return json.dumps(dataclasses.asdict(result), sort_keys=True)
 
 
+def forbid_prewarm(monkeypatch):
+    """Make any pre-warm fail: a processor built from a state must
+    restore its caches, never install them first."""
+    def prewarm(*_args, **_kwargs):
+        raise AssertionError("a processor built from a state pre-warmed")
+
+    monkeypatch.setattr(MemoryHierarchy, "prewarm", prewarm)
+
+
 # --------------------------------------------------------------------------
 # Property suite: capture -> restore -> run == uninterrupted, everywhere
 # --------------------------------------------------------------------------
@@ -69,7 +80,7 @@ class TestRestoreBitwise:
     @pytest.mark.parametrize("policy", list(POLICY_NAMES))
     @pytest.mark.parametrize("num_threads", [1, 2, 4, 6])
     def test_restore_then_run_matches_uninterrupted(
-            self, policy, num_threads, small_config):
+            self, policy, num_threads, small_config, monkeypatch):
         benchmarks = BENCHMARKS[:num_threads]
         # Leave a rename pool after carving out per-thread arch state.
         regs = 128 + 32 * num_threads
@@ -85,7 +96,28 @@ class TestRestoreBitwise:
         forked = _build_processor(benchmarks, policy, config, seed=9)
         forked.restore_state(state)
         forked.run(500)
-        assert state_key(forked) == state_key(straight)
+        forbid_prewarm(monkeypatch)
+        built = _build_processor(benchmarks, policy, config, seed=9,
+                                 state=state)
+        built.run(500)
+        assert state_key(forked) == state_key(straight) == state_key(built)
+
+    @pytest.mark.parametrize("policy", ["DCRA", "DCRA-ADAPT"])
+    def test_restored_construction_forks_warmup(self, policy, small_config,
+                                                monkeypatch):
+        """Built from another policy's warm-up without its policy state,
+        as the runner forks: equal to construct-then-restore."""
+        warm = _build_processor(("gzip", "mcf"), "ICOUNT", small_config, 4)
+        warm.run(600)
+        state = json.loads(json.dumps(warm.capture_state()))
+        forked = _build_processor(("gzip", "mcf"), policy, small_config, 4)
+        forked.restore_state(state, restore_policy=False)
+        forked.run(500)
+        forbid_prewarm(monkeypatch)
+        built = _build_processor(("gzip", "mcf"), policy, small_config, 4,
+                                 state=state, restore_policy=False)
+        built.run(500)
+        assert state_key(built) == state_key(forked)
 
     def test_restore_across_process(self, small_config, tmp_path):
         """A state captured here restores bitwise in a fresh process."""
@@ -131,6 +163,32 @@ class TestRestoreBitwise:
         fresh = _build_processor(("gzip",), "ICOUNT", small_config, 1)
         with pytest.raises(SnapshotError, match="thread"):
             fresh.restore_state(processor.capture_state())
+
+    @pytest.mark.parametrize("changes,structure", [
+        ({"l2_size": 256 * 1024}, "L2"),
+        ({"l2_size": 1024 * 1024}, "L2"),
+        ({"l2_size": 256 * 1024, "l2_assoc": 4}, "L2"),  # same set count
+        ({"l1d_size": 32 * 1024}, "L1D"),
+        ({"tlb_entries": 32}, "TLB"),
+        ({"gshare_entries": 8 * 1024}, "gshare"),
+        ({"gshare_entries": 32 * 1024}, "gshare"),
+        ({"btb_entries": 128}, "BTB"),
+        ({"btb_entries": 64, "btb_assoc": 1}, "BTB"),  # same set count
+        ({"mshr_capacity": 8}, "MSHR"),
+    ])
+    def test_geometry_mismatch_rejected(self, changes, structure):
+        processor = _build_processor(("mcf", "art"), "ICOUNT", SMTConfig(),
+                                     1)
+        processor.run(300)
+        state = processor.capture_state()
+        # Enough translations and fills in flight to overflow the
+        # smaller TLB and MSHR file.
+        assert len(state["hierarchy"]["dtlb"]["pages"]) > 32
+        assert len(state["hierarchy"]["mshrs"]["entries"]) > 8
+        config = dataclasses.replace(SMTConfig(), **changes)
+        fresh = _build_processor(("mcf", "art"), "ICOUNT", config, 1)
+        with pytest.raises(SnapshotError, match=f"^{structure} snapshot"):
+            fresh.restore_state(state)
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,10 @@
 import pytest
 
 from repro.mem.hierarchy import MemoryHierarchy
+from repro.pipeline.config import SMTConfig
+from repro.pipeline.processor import SMTProcessor
+from repro.policies.registry import make_policy
+from repro.trace.profiles import ALL_BENCHMARKS, get_profile
 
 
 def make_hierarchy(**kwargs):
@@ -28,6 +32,25 @@ def collect_waiter(sink):
     def waiter(cycle):
         sink.append(cycle)
     return waiter
+
+
+def per_line_prewarm(hierarchy, base, size, kind):
+    """Reference: install a region one ``Cache.fill`` per line."""
+    line = hierarchy.l1d.line_bytes
+    for addr in range(base, base + size, line):
+        victim = hierarchy.l2.fill(addr)
+        if victim is not None and hierarchy.inclusive_l2:
+            hierarchy.l1d.invalidate(victim)
+            hierarchy.l1i.invalidate(victim)
+        if kind == "code":
+            hierarchy.l1i.fill(addr)
+        elif kind == "hot":
+            hierarchy.l1d.fill(addr)
+    if kind == "hot":
+        for addr in range(base, base + size, hierarchy.dtlb.page_bytes):
+            hierarchy.dtlb.access(addr)
+        hierarchy.dtlb.hits = 0
+        hierarchy.dtlb.misses = 0
 
 
 class TestLoadTiming:
@@ -165,6 +188,37 @@ class TestPrewarm:
     def test_prewarm_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             make_hierarchy().prewarm(0, 0, 64, "lukewarm")
+
+    @pytest.mark.parametrize("num_threads", [1, 2, 4, 6])
+    @pytest.mark.parametrize("changes,offset", [
+        ({}, 0),
+        # A small inclusive L2 evicts lines still held in L1I/L1D.
+        ({"inclusive_l2": True, "l2_size": 64 * 1024}, 0),
+        ({}, 24),  # region bases off line boundaries
+    ], ids=["default", "inclusive", "unaligned"])
+    def test_one_pass_matches_per_line_fills(self, num_threads, changes,
+                                             offset):
+        """Every profile's regions, in the processor's pre-warm order and
+        then in reverse (refilling resident lines in a new LRU order):
+        the one-pass install equals filling line by line."""
+        config = SMTConfig(prewarm_caches=False, **changes)
+        names = sorted(ALL_BENCHMARKS)
+        for start in range(0, len(names), num_threads):
+            profiles = [get_profile(names[(start + i) % len(names)])
+                        for i in range(num_threads)]
+            processor = SMTProcessor(config, profiles, make_policy("ICOUNT"))
+            one_pass = processor.hierarchy
+            reference = SMTProcessor(config, profiles,
+                                     make_policy("ICOUNT")).hierarchy
+            regions = [(thread.tid, base + offset, size, kind)
+                       for order in ("warm", "hot", "code")
+                       for thread in processor.threads
+                       for base, size, kind in thread.trace.prewarm_regions()
+                       if kind == order]
+            for tid, base, size, kind in regions + regions[::-1]:
+                one_pass.prewarm(tid, base, size, kind)
+                per_line_prewarm(reference, base, size, kind)
+            assert one_pass.capture_state() == reference.capture_state()
 
 
 class TestInclusionPolicy:

@@ -109,3 +109,32 @@ class TestDegenerateWindows:
         result = run_benchmarks(["gzip"], "ICOUNT", cycles=1, warmup=0)
         assert result.threads[0].committed == 0
         assert result.threads[0].ipc == 0.0
+
+
+def test_runner_import_loads_no_service_layer():
+    """A fresh ``import repro.harness.runner`` (what a run needs) leaves
+    the service layers unloaded; every package export still resolves
+    and is listed by ``dir()``."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+    import repro.harness
+
+    script = (
+        "import sys\n"
+        "import repro.harness.runner\n"
+        "print(sorted(set(sys.argv[1:]) & set(sys.modules)))\n")
+    unloaded = ["asyncio", "http.server", "repro.harness.broker",
+                "repro.harness.executors", "repro.harness.scenario"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *unloaded], capture_output=True,
+        text=True, check=True,
+        cwd=str(Path(__file__).resolve().parent.parent),
+        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+    assert proc.stdout.strip() == "[]"
+    for package in (repro, repro.harness):
+        for name in package.__all__:
+            assert getattr(package, name) is not None
+            assert name in dir(package)
