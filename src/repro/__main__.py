@@ -487,22 +487,25 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
 
 def _cmd_checkpoint_list(_args: argparse.Namespace) -> int:
     """List the stored warm-up checkpoints, newest first."""
-    entries = checkpoint_store.list_entries()
-    if not entries:
-        print(f"no checkpoints under {checkpoint_store.directory()}")
-        return 0
-    print(f"{'key':14s} {'fresh':5s} {'size':>8s} {'warm-up':>8s} prefix")
-    total = 0
-    for entry in entries:
+    count = total = stale = 0
+    # One entry at a time: a listing never holds every decoded state.
+    for entry in checkpoint_store.list_entries():
+        if not count:
+            print(f"{'key':14s} {'fresh':5s} {'size':>8s} {'warm-up':>8s} "
+                  f"prefix")
+        count += 1
         total += entry["size"]
-        warmup = entry["warmup_cycles"]
+        stale += not entry["current"]
+        warmup = entry["data"]["warmup_cycles"]
         print(f"{entry['key'][:12] + '..':14s} "
               f"{'yes' if entry['current'] else 'no':5s} "
               f"{entry['size'] / 1024:7.1f}k "
               f"{warmup if warmup is not None else '?':>8} "
               f"{entry['token']}")
-    stale = sum(1 for entry in entries if not entry["current"])
-    print(f"\n{len(entries)} checkpoint(s), {total / 1024:.1f} kB total"
+    if not count:
+        print(f"no checkpoints under {checkpoint_store.directory()}")
+        return 0
+    print(f"\n{count} checkpoint(s), {total / 1024:.1f} kB total"
           + (f"; {stale} stale (other source fingerprint — "
              f"'repro checkpoint gc' reclaims them)" if stale else ""))
     return 0

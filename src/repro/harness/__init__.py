@@ -1,9 +1,8 @@
 """Experiment harness.
 
 :mod:`repro.harness.runner` runs workloads under policies and computes
-the paper's metrics, with single-thread Hmean baselines memoised in a
-disk-backed, process-safe cache (:class:`~repro.harness.runner.BaselineCache`,
-``$REPRO_CACHE_DIR`` or ``~/.cache/repro-dcra``).
+the paper's metrics, with single-thread Hmean baselines memoised by
+:class:`~repro.harness.runner.BaselineCache`.
 
 :mod:`repro.harness.engine` is the parallel experiment engine:
 declarative :class:`~repro.harness.engine.SimJob` specs executed over a
@@ -32,11 +31,16 @@ policies, config, budgets, sweep grids) loadable from Python, JSON or
 TOML and compiled deterministically to the engine's job list
 (``repro scenario run FILE``).
 
-:mod:`repro.harness.results` is the content-addressed
-:class:`~repro.harness.results.ResultStore` under
-``$REPRO_CACHE_DIR/results/``: every engine surface takes
-``reuse="auto"|"off"|"require"`` to serve stored simulation results
-instead of recomputing them, with identical output.
+:mod:`repro.harness.results` holds the one content-addressed store
+core (:class:`~repro.harness.results.ContentStore`: key, entry format,
+atomic writes, memory layer, counters, miss diagnostics) under
+``$REPRO_CACHE_DIR`` (default ``~/.cache/repro-dcra``).  Its kinds are
+the result store (:class:`~repro.harness.results.ResultStore`,
+``results/``: every engine surface takes ``reuse="auto"|"off"|"require"``
+to serve stored simulation results instead of recomputing them, with
+identical output), the warm-up checkpoints
+(:class:`~repro.harness.checkpoints.CheckpointStore`, ``checkpoints/``)
+and the baselines (``baselines/``).
 
 :mod:`repro.harness.experiments` regenerates every table and figure of
 the paper's evaluation section; each driver compiles from a scenario

@@ -94,6 +94,7 @@ from repro.harness.remote_worker import (
     spawn_loopback_workers,
     validate_hello,
 )
+from repro.harness.results import atomic_write, cache_root
 
 _LENGTH_PREFIX = struct.Struct(">I")
 
@@ -270,9 +271,7 @@ def parse_broker_address(value: str) -> Tuple[str, int]:
 
 def default_spool_dir() -> Path:
     """Spool directory for the durable queue (honours REPRO_CACHE_DIR)."""
-    root = os.environ.get("REPRO_CACHE_DIR")
-    base = Path(root) if root else Path.home() / ".cache" / "repro-dcra"
-    return base / "broker-spool"
+    return cache_root() / "broker-spool"
 
 
 class Broker:
@@ -818,14 +817,11 @@ class Broker:
         if not self.durable:
             return
         try:
-            self.spool_dir.mkdir(parents=True, exist_ok=True)
             path = self.spool_dir / f"{entry.seq:010d}-{entry.job_id}.pkl"
-            tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(pickle.dumps({
+            atomic_write(path, pickle.dumps({
                 "job_id": entry.job_id, "kind": entry.kind,
                 "payload": entry.payload, "priority": entry.priority,
                 "job": entry.job, "store_kind": entry.store_kind}))
-            os.replace(tmp, path)
             entry.spool_path = path
         except OSError:
             entry.spool_path = None  # durability is best-effort

@@ -4,9 +4,11 @@ Every job in a sweep repeats the same expensive prefix — construct the
 simulator, warm it to the measurement boundary — before the part that
 actually differs.  This module stores that boundary state (a
 :meth:`~repro.pipeline.processor.SMTProcessor.capture_state` tree plus
-warm-up provenance) in a disk store keyed exactly like the result store:
-by content, under the source fingerprint, so a stored checkpoint can
-never be served across a simulator edit.
+warm-up provenance) in :class:`CheckpointStore`, a kind of the store
+core every harness cache shares
+(:class:`~repro.harness.results.ContentStore`): keyed by content under
+the source fingerprint, so a stored checkpoint can never be served
+across a simulator edit, and gzipped.
 
 A checkpoint's identity is its :func:`prefix_token` — everything that
 determines the state at the warm-up boundary:
@@ -25,39 +27,30 @@ The invariant — pinned by the checkpoint test suite — is that a run
 forked from a stored checkpoint is **bitwise identical** to the
 uninterrupted run: same result, same interval snapshots, same timeline.
 
-Reuse modes mirror the result store: ``None``/``"off"`` (never touch
-the store), ``"auto"`` (restore hits, compute-and-store misses) and
-``"require"`` (raise :class:`CheckpointMiss` on a cold store — the
-miss message names the token components that differ from the nearest
-stored entry, see :func:`~repro.harness.results.nearest_entry_diff`).
+Checkpoint modes are the result store's reuse modes: ``None``/``"off"``
+(never touch the store), ``"auto"`` (restore hits, compute-and-store
+misses) and ``"require"`` (raise :class:`CheckpointMiss` on a cold
+store — the miss message names the token components that differ from
+the nearest stored entry, see
+:func:`~repro.harness.results.nearest_entry_diff`).
 """
 
 from __future__ import annotations
 
-import gzip
-import json
-import os
-import shutil
-import time
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.harness.results import (
-    StoreStats,
-    cache_key,
-    nearest_entry_diff,
+    REUSE_MODES,
+    ContentStore,
+    normalize_reuse,
     policy_token,
-    source_fingerprint,
 )
 from repro.harness.warmup import WarmupSpec, as_warmup_policy, warmup_cache_token
 from repro.pipeline.config import SMTConfig
 
-#: Bump on deliberate checkpoint-format changes; code-change staleness
-#: is handled automatically by :func:`source_fingerprint` in the key.
-CHECKPOINT_STORE_VERSION = 1
-
-#: Checkpoint modes accepted wherever a ``checkpoint`` parameter appears.
-CHECKPOINT_MODES = ("off", "auto", "require")
+#: Checkpoint modes accepted wherever a ``checkpoint`` parameter
+#: appears: the result store's reuse modes.
+CHECKPOINT_MODES = REUSE_MODES
 
 #: Names of the ``|``-separated :func:`prefix_token` components, for
 #: miss diagnostics.
@@ -71,12 +64,7 @@ class CheckpointMiss(KeyError):
 
 def normalize_checkpoint(checkpoint) -> str:
     """Validate a ``checkpoint`` argument; None means ``"off"``."""
-    mode = "off" if checkpoint is None else checkpoint
-    if mode not in CHECKPOINT_MODES:
-        raise ValueError(
-            f"unknown checkpoint mode {checkpoint!r} "
-            f"(expected one of {CHECKPOINT_MODES})")
-    return mode
+    return normalize_reuse(checkpoint, "checkpoint")
 
 
 def warmup_boundary_token(plan, interval_cycles: Optional[int]) -> str:
@@ -139,98 +127,49 @@ def job_prefix_token(job) -> Optional[str]:
                         job.warmup, job.seed, boundary)
 
 
-class CheckpointStore:
-    """Disk-backed, process-safe, content-addressed warm-up states.
+#: The fields every checkpoint payload carries (see
+#: :func:`~repro.harness.runner.compute_warmup_checkpoint`).
+_PAYLOAD_FIELDS = frozenset(
+    ("policy", "warmup_cycles", "warmup_converged", "discarded", "state"))
 
-    Mirrors :class:`~repro.harness.results.ResultStore` mechanics:
 
-    * Entries live under ``$REPRO_CACHE_DIR/checkpoints/`` (default
-      ``~/.cache/repro-dcra/checkpoints/``), one gzipped JSON file per
-      entry — a full processor state tree is a few hundred kB to a few
-      MB of JSON and compresses well.
-    * The file name is :func:`~repro.harness.results.cache_key` over
-      (:data:`CHECKPOINT_STORE_VERSION`,
-      :func:`~repro.harness.results.source_fingerprint`, the
-      :func:`prefix_token`), so any simulator edit invalidates every
-      stored checkpoint at once.
-    * Writes are atomic (temporary file + :func:`os.replace`); racing
-      writers deterministically write identical content.
-    * Disk I/O is best-effort: an unreadable store degrades to the
-      in-memory mirror without failing the run.
+def _checked_payload(payload: dict) -> dict:
+    """A checkpoint payload, unchanged, once it has every field a restore
+    reads (a payload is plain JSON data both ways)."""
+    if not _PAYLOAD_FIELDS <= payload.keys():
+        raise ValueError("not a checkpoint payload")
+    return payload
 
-    ``stats`` counts this process's hits/misses/stores, as in the
-    result store; the scenario layer reports them and the CI
-    prefix-reuse job asserts on them.
+
+class CheckpointStore(ContentStore):
+    """Warm-up boundary states, keyed by :func:`prefix_token`: the
+    ``checkpoints/`` store kind.
+
+    Entries are gzipped — a full processor state tree is a few hundred
+    kB to a few MB of JSON and compresses well.  The mechanics (key,
+    atomic writes, memory layer, counters, listing and pruning) are the
+    shared :class:`~repro.harness.results.ContentStore` core; ``stats``
+    is what the scenario layer reports and the CI prefix-reuse job
+    asserts on.
     """
 
-    def __init__(self) -> None:
-        import threading
+    subdir = "checkpoints"
+    gzipped = True
+    codecs = {"checkpoint": (_checked_payload, _checked_payload)}
+    components = PREFIX_TOKEN_COMPONENTS
 
-        self._memory: Dict[str, dict] = {}
-        self._lock = threading.Lock()
-        self.stats = StoreStats()
-
-    @staticmethod
-    def directory() -> Path:
-        """Resolve the store directory (honours ``REPRO_CACHE_DIR``)."""
-        root = os.environ.get("REPRO_CACHE_DIR")
-        base = Path(root) if root else Path.home() / ".cache" / "repro-dcra"
-        return base / "checkpoints"
-
-    @staticmethod
-    def key_for(token: str) -> str:
+    @classmethod
+    def key_for(cls, token: str) -> str:
         """Content key of one prefix's stored checkpoint."""
-        return cache_key(f"v{CHECKPOINT_STORE_VERSION}",
-                         source_fingerprint(), token)
+        return cls._key("checkpoint", token)
 
     def get(self, token: str) -> Optional[dict]:
         """Stored checkpoint payload for a prefix, or None on a miss."""
-        key = self.key_for(token)
-        with self._lock:
-            cached = self._memory.get(key)
-            if cached is not None:
-                self.stats.hits += 1
-                return cached
-        try:
-            with gzip.open(self.directory() / f"{key}.json.gz",
-                           "rt", encoding="utf-8") as handle:
-                entry = json.load(handle)
-            payload = entry["data"]
-            if entry["version"] != CHECKPOINT_STORE_VERSION:
-                raise ValueError("version mismatch")
-        except (OSError, ValueError, KeyError, EOFError):
-            # Corrupt, truncated or absent entries are misses, never
-            # crashes (the store contract: disk problems degrade).
-            with self._lock:
-                self.stats.misses += 1
-            return None
-        with self._lock:
-            self._memory[key] = payload
-            self.stats.hits += 1
-        return payload
+        return self._get("checkpoint", token)
 
     def put(self, token: str, payload: dict) -> None:
         """Store one checkpoint in memory and (best-effort) on disk."""
-        key = self.key_for(token)
-        with self._lock:
-            self._memory[key] = payload
-            self.stats.stores += 1
-        entry = {
-            "version": CHECKPOINT_STORE_VERSION,
-            "fingerprint": source_fingerprint(),
-            "token": token,
-            "data": payload,
-        }
-        directory = self.directory()
-        path = directory / f"{key}.json.gz"
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            tmp = directory / f".{key}.{os.getpid()}.tmp"
-            with gzip.open(tmp, "wt", encoding="utf-8") as handle:
-                json.dump(entry, handle)
-            os.replace(tmp, path)
-        except OSError:
-            pass
+        self._put("checkpoint", token, payload)
 
     def require(self, token: str) -> dict:
         """Like :meth:`get` but raising :class:`CheckpointMiss` on a miss.
@@ -244,118 +183,8 @@ class CheckpointStore:
             raise CheckpointMiss(
                 f"no stored checkpoint for prefix {token!r} "
                 f"(checkpoint='require' on a cold store?); "
-                + nearest_entry_diff(token, self.stored_tokens(),
-                                     PREFIX_TOKEN_COMPONENTS))
+                + self.explain_miss("checkpoint", token))
         return payload
-
-    def stored_tokens(self) -> List[str]:
-        """Prefix tokens of every on-disk entry (any fingerprint)."""
-        return [entry["token"] for entry in self.list_entries()]
-
-    def list_entries(self) -> List[dict]:
-        """Metadata of every on-disk entry, newest first.
-
-        Each entry carries ``key`` (the file stem), ``token``,
-        ``fingerprint``, ``current`` (written by this source tree?),
-        ``size`` (compressed bytes), ``mtime``, and the payload's
-        ``policy`` and ``warmup_cycles`` provenance.
-        """
-        entries = []
-        try:
-            paths = sorted(self.directory().glob("*.json.gz"),
-                           key=lambda p: p.stat().st_mtime, reverse=True)
-        except OSError:
-            return []
-        for path in paths:
-            try:
-                stat = path.stat()
-                with gzip.open(path, "rt", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-                entries.append({
-                    "key": path.name[:-len(".json.gz")],
-                    "token": entry.get("token", "?"),
-                    "fingerprint": entry.get("fingerprint", "?"),
-                    "current": entry.get("fingerprint")
-                    == source_fingerprint(),
-                    "size": stat.st_size,
-                    "mtime": stat.st_mtime,
-                    "policy": entry.get("data", {}).get("policy"),
-                    "warmup_cycles": entry.get("data", {})
-                    .get("warmup_cycles"),
-                })
-            except (OSError, ValueError, EOFError):
-                continue
-        return entries
-
-    def remove(self, key_prefix: str) -> int:
-        """Delete on-disk entries whose key starts with ``key_prefix``.
-
-        Returns the number of files removed.  An empty prefix matches
-        everything (the CLI requires an explicit argument).
-        """
-        removed = 0
-        try:
-            for path in list(self.directory().glob("*.json.gz")):
-                if path.name.startswith(key_prefix):
-                    path.unlink(missing_ok=True)
-                    removed += 1
-        except OSError:
-            pass
-        with self._lock:
-            self._memory.clear()
-        return removed
-
-    def gc(self, max_age_days: Optional[float] = None,
-           max_total_bytes: Optional[int] = None) -> Tuple[int, int]:
-        """Expire old entries and enforce a total-size cap.
-
-        Entries older than ``max_age_days`` are removed first; then, if
-        the remaining compressed size still exceeds
-        ``max_total_bytes``, the oldest entries are removed until it
-        fits.  Returns ``(files_removed, bytes_freed)``.
-        """
-        removed = freed = 0
-        try:
-            paths = [(path, path.stat()) for path
-                     in self.directory().glob("*.json.gz")]
-        except OSError:
-            return 0, 0
-        now = time.time()
-        survivors = []
-        for path, stat in sorted(paths, key=lambda item: item[1].st_mtime):
-            if max_age_days is not None and \
-                    now - stat.st_mtime > max_age_days * 86400:
-                path.unlink(missing_ok=True)
-                removed += 1
-                freed += stat.st_size
-            else:
-                survivors.append((path, stat))
-        if max_total_bytes is not None:
-            total = sum(stat.st_size for _, stat in survivors)
-            for path, stat in survivors:  # oldest first
-                if total <= max_total_bytes:
-                    break
-                path.unlink(missing_ok=True)
-                removed += 1
-                freed += stat.st_size
-                total -= stat.st_size
-        with self._lock:
-            self._memory.clear()
-        return removed, freed
-
-    def clear(self, disk: bool = False) -> None:
-        """Drop in-memory entries; with ``disk=True`` also wipe files."""
-        with self._lock:
-            self._memory.clear()
-        if disk:
-            shutil.rmtree(self.directory(), ignore_errors=True)
-
-    def reset_stats(self) -> StoreStats:
-        """Swap in fresh counters, returning the old ones."""
-        with self._lock:
-            old = self.stats
-            self.stats = StoreStats()
-        return old
 
 
 #: The process-wide checkpoint store (mirrors ``result_store``).

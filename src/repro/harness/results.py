@@ -1,32 +1,30 @@
-"""Content-addressed result store and the shared cache-key helpers.
+"""The content-addressed store core, the result store, and the shared
+cache-key helpers.
 
-Repeated sweeps — seed replications, warm-up tuning, CI reruns, a
-scenario suite regenerated after a doc edit — used to recompute every
-:class:`~repro.metrics.stats.SimulationResult` from scratch; the only
-thing memoised across runs was the Hmean baseline.  This module
-generalises that baseline cache into a store for *any* simulation
-payload, keyed by content:
+Every disk cache of the harness is a kind of one store core,
+:class:`ContentStore`: simulation results (:class:`ResultStore`, here),
+warm-up checkpoints (:class:`~repro.harness.checkpoints.CheckpointStore`)
+and the single-thread Hmean baselines
+(:class:`~repro.harness.runner.BaselineCache`).  A kind names its
+directory, token, payload codec and whether entries are gzipped; the
+core owns the rest once: the cache root (:func:`cache_root`), the key
+(:func:`cache_key` under :func:`source_fingerprint`), the entry format,
+the one write path (:func:`atomic_write`), the memory layer, counters,
+miss diagnostics (:func:`nearest_entry_diff`), listing and pruning.
 
-* :func:`source_fingerprint` — one content hash of the installed
-  ``repro`` source tree, shared by every disk cache (the baseline cache
-  and this store), so any simulator edit invalidates everything at once
-  with no manual version bump.
-* :func:`cache_key` — the one descriptor-hashing rule (SHA-256 of the
-  ``|``-joined parts) every cache key goes through.
-* :func:`job_token` — the canonical identity of a
-  :class:`~repro.harness.engine.SimJob`: benchmarks, policy (kwargs in
-  sorted order), full config ``repr``, cycles, the warm-up cache token
-  (fixed counts and steady-state parameterisations can never collide —
-  see :func:`~repro.harness.warmup.warmup_cache_token`), seed and
-  interval chunking.  The bookkeeping ``tag`` is deliberately excluded.
-* :class:`ResultStore` — one JSON file per entry under
-  ``$REPRO_CACHE_DIR/results/``, written atomically, holding a
-  serialised :class:`~repro.metrics.stats.SimulationResult`,
-  :class:`~repro.harness.runner.IntervalRun` or
-  :class:`~repro.metrics.intervals.PhaseTimeline`.  Deserialisation is
-  exact (JSON round-trips Python floats bitwise), so a store hit is
-  indistinguishable from recomputation — the property the engine's
-  ``reuse`` modes (and the scenario CI job) rely on.
+A :class:`ResultStore` entry holds a serialised
+:class:`~repro.metrics.stats.SimulationResult`,
+:class:`~repro.harness.runner.IntervalRun` or
+:class:`~repro.metrics.intervals.PhaseTimeline` under its
+:func:`job_token` — the canonical identity of a
+:class:`~repro.harness.engine.SimJob`: benchmarks, policy (kwargs in
+sorted order), full config ``repr``, cycles, the warm-up cache token
+(fixed counts and steady-state parameterisations can never collide —
+see :func:`~repro.harness.warmup.warmup_cache_token`), seed and
+interval chunking; the bookkeeping ``tag`` is deliberately excluded.
+Deserialisation is exact (JSON round-trips Python floats bitwise), so a
+store hit is indistinguishable from recomputation — the property the
+engine's ``reuse`` modes (and the scenario CI job) rely on.
 
 Reuse modes
 -----------
@@ -44,18 +42,37 @@ Everything that runs jobs through the engine accepts ``reuse``:
     miss.  A passing ``require`` run is an executable proof that zero
     simulations were needed — tests and CI use it to pin warm-store
     reruns.
+
+Warm-up checkpoint modes (``checkpoint=``, see
+:mod:`repro.harness.checkpoints`) are the same three and go through the
+same validator, :func:`normalize_reuse`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gzip
 import hashlib
 import json
 import os
 import shutil
+import tempfile
+import threading
+import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 from repro.harness.warmup import warmup_cache_token
 from repro.metrics.intervals import (
@@ -71,9 +88,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.engine import SimJob
     from repro.harness.runner import IntervalRun
 
-#: Bump on deliberate store-format changes; code-change staleness is
-#: handled automatically by :func:`source_fingerprint`.
-RESULT_STORE_VERSION = 1
+#: Bump on deliberate changes to the entry format of any store kind;
+#: code-change staleness is handled by :func:`source_fingerprint`.
+STORE_VERSION = 2
 
 #: Reuse modes accepted everywhere a ``reuse`` parameter appears.
 REUSE_MODES = ("off", "auto", "require")
@@ -84,10 +101,9 @@ _fingerprint_cache: Optional[str] = None
 def source_fingerprint() -> str:
     """Content hash of the installed ``repro`` source tree.
 
-    Part of every disk-cache key (the baseline cache and the result
-    store): any edit to the simulator source changes the fingerprint,
-    so entries written by older code can never be served silently — no
-    manual version bump required.  Falls back to a constant marker when
+    Part of every store key: any edit to the simulator source changes
+    the fingerprint, so entries written by older code can never be
+    served silently — no manual version bump required.  Falls back to a constant marker when
     the source is unreadable (e.g. a frozen install).
     """
     global _fingerprint_cache
@@ -116,12 +132,13 @@ def cache_key(*parts: str) -> str:
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
-def normalize_reuse(reuse) -> str:
-    """Validate a ``reuse`` argument; None means ``"off"``."""
+def normalize_reuse(reuse, what: str = "reuse") -> str:
+    """Validate a ``reuse`` (or, with ``what="checkpoint"``, a
+    ``checkpoint``) mode argument; None means ``"off"``."""
     mode = "off" if reuse is None else reuse
     if mode not in REUSE_MODES:
         raise ValueError(
-            f"unknown reuse mode {reuse!r} (expected one of {REUSE_MODES})")
+            f"unknown {what} mode {reuse!r} (expected one of {REUSE_MODES})")
     return mode
 
 
@@ -323,7 +340,7 @@ _PAYLOAD_CODECS = {
 
 @dataclass
 class StoreStats:
-    """In-process counters of one :class:`ResultStore`'s traffic."""
+    """In-process counters of one store's traffic."""
 
     hits: int = 0
     misses: int = 0
@@ -334,160 +351,257 @@ class StoreStats:
                 "stores": self.stores}
 
 
-class ResultStore:
-    """Disk-backed, process-safe, content-addressed simulation results.
+#: What reading or decoding a damaged entry can raise: I/O and gzip
+#: errors, malformed JSON, and data of the wrong shape.
+_UNREADABLE = (OSError, EOFError, zlib.error, ValueError, LookupError,
+               TypeError, AttributeError)
 
-    The generalisation of the baseline cache to full results:
 
-    * Entries live under ``$REPRO_CACHE_DIR/results/`` (defaulting to
-      ``~/.cache/repro-dcra/results/``), one JSON file per entry.  The
-      environment variable is re-read on every access, so tests and
-      drivers can redirect the store without re-importing.
-    * The file name is :func:`cache_key` over
-      (:data:`RESULT_STORE_VERSION`, :func:`source_fingerprint`, the
-      payload kind, and the full :func:`job_token`).  Changing *any*
-      input — including any line of simulator code — misses rather
-      than serving a stale value.
-    * Writes go to a temporary file followed by :func:`os.replace`:
-      concurrent readers see either the complete entry or none, and
-      racing writers deterministically write identical content.
-    * Disk I/O is best-effort: an unreadable or unwritable store
-      degrades to the in-memory dictionary without failing the run.
+def cache_root() -> Path:
+    """Root directory of every disk cache and of the broker spool.
 
-    ``stats`` counts this process's hits/misses/stores — the scenario
-    CLI reports them and the CI reuse job asserts on them.  Instances
-    are thread-safe: concurrent driver threads (e.g. the streaming
-    ``run_all_experiments.py`` artefacts) share one store, so counter
-    updates and memory-layer mutations take a lock.
+    ``$REPRO_CACHE_DIR``, else ``~/.cache/repro-dcra``.  Re-read on
+    every call, so tests and drivers can redirect the caches without
+    re-importing.
+    """
+    root = os.environ.get("REPRO_CACHE_DIR")
+    return Path(root) if root else Path.home() / ".cache" / "repro-dcra"
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` so that readers see all of it or nothing.
+
+    The bytes go to a temporary file of its own in the target directory
+    (never shared with another thread or process), which then replaces
+    ``path`` in one :func:`os.replace`.  Raises OSError; the temporary
+    file does not outlive a failed write.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+class ContentStore:
+    """Disk-backed, process-safe, content-addressed store: the core of
+    every store kind.
+
+    A kind is a subclass that names its subdirectory of
+    :func:`cache_root`, whether its entries are gzipped, its payload
+    codecs and its token components, and that builds the token from its
+    own ``get``/``put`` arguments.  Everything else is shared:
+
+    * **Entry.** One file per entry holding the JSON object
+      ``{version, fingerprint, kind, token, data}`` (gzipped for gzipped
+      kinds), where ``data`` is the encoded payload.
+    * **Key.** The file stem is :func:`cache_key` over
+      ``v{STORE_VERSION}``, :func:`source_fingerprint`, the payload kind
+      and the token, so changing any input, including any line of
+      simulator code, misses rather than serving a stale value.
+    * **Write.** :func:`atomic_write`; a put whose entry file already
+      exists leaves it alone (same key, same bytes).  Disk I/O is
+      best-effort: an unwritable store degrades to the memory layer.
+    * **Read.** The memory layer first, then the file, read and decoded
+      once.  Any failure to read or decode is a miss and removes the
+      file, so the next put writes it afresh.
+    * ``stats`` counts this process's hits, misses and stores.
+      Instances are thread-safe: concurrent driver threads share one
+      store, so counters and the memory layer sit behind a lock.
     """
 
-    def __init__(self) -> None:
-        import threading
+    #: Subdirectory of :func:`cache_root` holding this kind's entries.
+    subdir = ""
+    #: Whether entries are gzipped (``*.json.gz``) or plain (``*.json``).
+    gzipped = False
+    #: Payload kind -> ``(encode, decode)`` between values and JSON data.
+    codecs: Dict[str, Tuple[Callable, Callable]] = {}
+    #: Names of the ``|``-separated token components, for miss diagnostics.
+    components: Sequence[str] = ()
 
+    def __init__(self) -> None:
         self._memory: Dict[str, object] = {}
         self._lock = threading.Lock()
         self.stats = StoreStats()
 
-    @staticmethod
-    def directory() -> Path:
-        """Resolve the store directory (honours ``REPRO_CACHE_DIR``)."""
-        root = os.environ.get("REPRO_CACHE_DIR")
-        base = Path(root) if root else Path.home() / ".cache" / "repro-dcra"
-        return base / "results"
+    @classmethod
+    def directory(cls) -> Path:
+        """This kind's entry directory (honours ``REPRO_CACHE_DIR``)."""
+        return cache_root() / cls.subdir
+
+    @classmethod
+    def _codec(cls, kind: str) -> Tuple[Callable, Callable]:
+        try:
+            return cls.codecs[kind]
+        except KeyError:
+            raise ValueError(f"unknown payload kind {kind!r}") from None
 
     @staticmethod
-    def key_for(job: "SimJob", kind: str = "result") -> str:
-        """Content key of one job's stored payload."""
-        if kind not in _PAYLOAD_CODECS:
-            raise ValueError(f"unknown payload kind {kind!r}")
-        return cache_key(f"v{RESULT_STORE_VERSION}", source_fingerprint(),
-                         kind, job_token(job))
+    def _key(kind: str, token: str) -> str:
+        return cache_key(f"v{STORE_VERSION}", source_fingerprint(), kind,
+                         token)
 
-    def get(self, job: "SimJob", kind: str = "result"):
-        """Stored payload for a job, or None on a miss."""
-        key = self.key_for(job, kind)
+    def _path(self, key: str) -> Path:
+        return self.directory() / (key + self._suffix())
+
+    @classmethod
+    def _suffix(cls) -> str:
+        return ".json.gz" if cls.gzipped else ".json"
+
+    def _load(self, path: Path):
+        raw = path.read_bytes()
+        return json.loads(gzip.decompress(raw) if self.gzipped else raw)
+
+    def _get(self, kind: str, token: str):
+        """The stored value of ``(kind, token)``, or None on a miss."""
+        decode = self._codec(kind)[1]
+        key = self._key(kind, token)
         with self._lock:
-            cached = self._memory.get(key)
-            if cached is not None:
+            value = self._memory.get(key)
+            if value is not None:
                 self.stats.hits += 1
-                return cached
+                return value
+        path = self._path(key)
         try:
-            with open(self.directory() / f"{key}.json") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            with self._lock:
-                self.stats.misses += 1
-            return None
-        try:
-            value = _PAYLOAD_CODECS[kind][1](payload["data"])
-        except (KeyError, TypeError, IndexError, ValueError):
-            # A corrupt or truncated entry is a miss, never a crash
-            # (the class contract: disk problems degrade silently).
-            with self._lock:
-                self.stats.misses += 1
-            return None
+            entry = self._load(path)
+            if (entry["version"], entry["kind"], entry["token"]) != \
+                    (STORE_VERSION, kind, token):
+                raise ValueError("entry does not match its key")
+            value = decode(entry["data"])
+        except FileNotFoundError:
+            pass
+        except _UNREADABLE:
+            with contextlib.suppress(OSError):
+                path.unlink()
         with self._lock:
-            self._memory[key] = value
-            self.stats.hits += 1
+            if value is None:
+                self.stats.misses += 1
+            else:
+                self._memory[key] = value
+                self.stats.hits += 1
         return value
 
-    def put(self, job: "SimJob", value, kind: str = "result") -> None:
-        """Store one payload in memory and (best-effort) on disk."""
-        key = self.key_for(job, kind)
+    def _put(self, kind: str, token: str, value) -> None:
+        """Store ``value`` in memory and, unless already there, on disk."""
+        encode = self._codec(kind)[0]
+        key = self._key(kind, token)
         with self._lock:
             self._memory[key] = value
             self.stats.stores += 1
-        payload = json.dumps({
-            "version": RESULT_STORE_VERSION,
-            "kind": kind,
-            "job": job_token(job),
-            "data": _PAYLOAD_CODECS[kind][0](value),
-        })
-        directory = self.directory()
-        path = directory / f"{key}.json"
+        path = self._path(key)
+        if os.path.exists(path):
+            return
+        data = json.dumps({
+            "version": STORE_VERSION, "fingerprint": source_fingerprint(),
+            "kind": kind, "token": token, "data": encode(value),
+        }).encode()
+        if self.gzipped:
+            data = gzip.compress(data, mtime=0)
         try:
-            directory.mkdir(parents=True, exist_ok=True)
-            tmp = directory / f".{key}.{os.getpid()}.tmp"
-            tmp.write_text(payload)
-            os.replace(tmp, path)
+            atomic_write(path, data)
         except OSError:
             pass
 
-    def contains(self, job: "SimJob", kind: str = "result") -> bool:
-        """Whether a stored entry exists, without touching the counters.
-
-        A statistics-free probe (memory layer, then file existence) for
-        planning phases — e.g. deciding which warm-up prefixes a sweep
-        still needs — that must not distort the hit/miss accounting of
-        the run itself.
-        """
-        key = self.key_for(job, kind)
+    def _contains(self, kind: str, token: str) -> bool:
+        key = self._key(kind, token)
         with self._lock:
             if key in self._memory:
                 return True
-        try:
-            return (self.directory() / f"{key}.json").exists()
-        except OSError:
-            return False
+        return os.path.exists(self._path(key))
 
-    def stored_tokens(self, kind: str = "result") -> list:
-        """Job tokens of every on-disk entry of ``kind`` (any fingerprint).
-
-        Entry files carry their plain-text job token precisely so miss
-        diagnostics can compare against them; unreadable files are
-        skipped (best-effort, like all store disk I/O).
-        """
-        tokens = []
+    def _files(self) -> List[Tuple[Path, os.stat_result]]:
+        """Every entry file with its ``stat``, oldest first."""
+        files = []
         try:
-            paths = list(self.directory().glob("*.json"))
+            paths = list(self.directory().glob("*" + self._suffix()))
         except OSError:
-            return tokens
+            return files
         for path in paths:
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            if payload.get("kind") == kind and \
-                    isinstance(payload.get("job"), str):
-                tokens.append(payload["job"])
-        return tokens
+            with contextlib.suppress(OSError):
+                files.append((path, path.stat()))
+        return sorted(files, key=lambda item: item[1].st_mtime)
 
-    def require(self, job: "SimJob", kind: str = "result"):
-        """Like :meth:`get` but raising :class:`ResultStoreMiss` on a miss.
+    def list_entries(self) -> Iterator[dict]:
+        """Every readable on-disk entry, newest first, one at a time.
 
-        The miss message names the token components in which the
-        nearest stored entry differs (see :func:`nearest_entry_diff`)
-        instead of leaving the user to decode an opaque digest.
+        Each carries ``key`` (the file stem), ``kind``, ``token``,
+        ``fingerprint``, ``current`` (written by this source tree?),
+        ``size`` (bytes on disk), ``mtime`` and the decoded ``data``.
+        Entries that cannot be read or decoded are skipped.
         """
-        value = self.get(job, kind)
-        if value is None:
-            token = job_token(job)
-            raise ResultStoreMiss(
-                f"no stored {kind} for job {token} "
-                f"(reuse='require' on a cold store?); "
-                + nearest_entry_diff(token, self.stored_tokens(kind),
-                                     JOB_TOKEN_COMPONENTS))
-        return value
+        fingerprint = source_fingerprint()
+        for path, stat in reversed(self._files()):
+            try:
+                entry = self._load(path)
+                data = self._codec(entry["kind"])[1](entry["data"])
+                token = entry["token"]
+            except _UNREADABLE:
+                continue
+            if not isinstance(token, str):
+                continue
+            yield {"key": path.name[:-len(self._suffix())],
+                   "kind": entry["kind"], "token": token,
+                   "fingerprint": entry.get("fingerprint"),
+                   "current": entry.get("fingerprint") == fingerprint,
+                   "size": stat.st_size, "mtime": stat.st_mtime,
+                   "data": data}
+
+    def explain_miss(self, kind: str, token: str) -> str:
+        """How the nearest stored entry of ``kind`` differs from ``token``
+        (see :func:`nearest_entry_diff`); entries of any fingerprint count.
+        """
+        stored = [entry["token"] for entry in self.list_entries()
+                  if entry["kind"] == kind]
+        return nearest_entry_diff(token, stored, self.components)
+
+    def remove(self, key_prefix: str) -> int:
+        """Delete on-disk entries whose key starts with ``key_prefix``.
+
+        Returns the number of files removed.  Works from file names, so
+        unreadable entries go too; an empty prefix matches everything
+        (the CLI requires an explicit argument).
+        """
+        removed = 0
+        for path, _stat in self._files():
+            if path.name.startswith(key_prefix):
+                with contextlib.suppress(OSError):
+                    path.unlink()
+                    removed += 1
+        self.clear()
+        return removed
+
+    def gc(self, max_age_days: Optional[float] = None,
+           max_total_bytes: Optional[int] = None) -> Tuple[int, int]:
+        """Expire old entries and enforce a total-size cap.
+
+        Entries older than ``max_age_days`` are removed first; then, if
+        the remaining size on disk still exceeds ``max_total_bytes``,
+        the oldest entries are removed until it fits.  Returns
+        ``(files_removed, bytes_freed)``.
+        """
+        removed = freed = 0
+        files = self._files()
+        total = sum(stat.st_size for _path, stat in files)
+        now = time.time()
+        for path, stat in files:  # oldest first
+            expired = (max_age_days is not None
+                       and now - stat.st_mtime > max_age_days * 86400)
+            if not expired and (max_total_bytes is None
+                                or total <= max_total_bytes):
+                continue
+            with contextlib.suppress(OSError):
+                path.unlink()
+                removed += 1
+                freed += stat.st_size
+                total -= stat.st_size
+        self.clear()
+        return removed, freed
 
     def clear(self, disk: bool = False) -> None:
         """Drop in-memory entries; with ``disk=True`` also wipe the files."""
@@ -502,6 +616,64 @@ class ResultStore:
             old = self.stats
             self.stats = StoreStats()
         return old
+
+
+class ResultStore(ContentStore):
+    """Simulation results, keyed by job: the ``results/`` store kind.
+
+    Entries hold a serialised
+    :class:`~repro.metrics.stats.SimulationResult` (payload kind
+    ``"result"``), :class:`~repro.harness.runner.IntervalRun`
+    (``"intervals"``) or :class:`~repro.metrics.intervals.PhaseTimeline`
+    (``"phase_timeline"``) under the job's :func:`job_token`.  The
+    mechanics (key, atomic writes, memory layer, counters) are the
+    shared :class:`ContentStore` core.  ``stats`` is what the scenario
+    CLI reports and the CI reuse job asserts on.
+    """
+
+    subdir = "results"
+    codecs = _PAYLOAD_CODECS
+    components = JOB_TOKEN_COMPONENTS
+
+    @classmethod
+    def key_for(cls, job: "SimJob", kind: str = "result") -> str:
+        """Content key of one job's stored payload."""
+        cls._codec(kind)  # rejects an unknown payload kind
+        return cls._key(kind, job_token(job))
+
+    def get(self, job: "SimJob", kind: str = "result"):
+        """Stored payload for a job, or None on a miss."""
+        return self._get(kind, job_token(job))
+
+    def put(self, job: "SimJob", value, kind: str = "result") -> None:
+        """Store one payload in memory and (best-effort) on disk."""
+        self._put(kind, job_token(job), value)
+
+    def contains(self, job: "SimJob", kind: str = "result") -> bool:
+        """Whether a stored entry exists, without touching the counters.
+
+        A statistics-free probe (memory layer, then file existence) for
+        planning phases — e.g. deciding which warm-up prefixes a sweep
+        still needs — that must not distort the hit/miss accounting of
+        the run itself.
+        """
+        return self._contains(kind, job_token(job))
+
+    def require(self, job: "SimJob", kind: str = "result"):
+        """Like :meth:`get` but raising :class:`ResultStoreMiss` on a miss.
+
+        The miss message names the token components in which the
+        nearest stored entry differs (see :func:`nearest_entry_diff`)
+        instead of leaving the user to decode an opaque digest.
+        """
+        value = self.get(job, kind)
+        if value is None:
+            token = job_token(job)
+            raise ResultStoreMiss(
+                f"no stored {kind} for job {token} "
+                f"(reuse='require' on a cold store?); "
+                + self.explain_miss(kind, token))
+        return value
 
 
 #: The process-wide result store instance (mirrors ``baseline_cache``).

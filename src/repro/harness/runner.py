@@ -5,28 +5,25 @@ example uses: run a set of benchmarks under a policy, collect a
 :class:`~repro.metrics.stats.SimulationResult`, and evaluate throughput
 and Hmean fairness against cached single-thread baselines.
 
-Single-thread baselines are memoised both in memory and on disk (see
-:class:`BaselineCache`), so repeated invocations — and the worker
-processes of the parallel experiment engine
-(:mod:`repro.harness.engine`) — share one set of baseline runs.
+Single-thread baselines are memoised in memory and on disk by
+:class:`BaselineCache`, a kind of the store core every harness cache
+shares (:class:`~repro.harness.results.ContentStore`), so repeated
+invocations — and the worker processes of the parallel experiment
+engine (:mod:`repro.harness.engine`) — share one set of baseline runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
-import shutil
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.harness.progress import IntervalProgress, emit_progress
 from repro.harness.results import (
+    ContentStore,
     _snapshot_from_payload,
     _snapshot_to_payload,
-    cache_key,
     policy_token,
     source_fingerprint,
 )
@@ -71,115 +68,55 @@ DEFAULT_INTERVAL_CYCLES = 5_000
 
 PolicySpec = Union[str, Tuple[str, dict]]
 
-#: Bump on deliberate cache-format changes.  Code-change staleness is
-#: handled automatically by :func:`simulator_fingerprint`.  v2: the
-#: warm-up component of the key became :func:`warmup_cache_token`, so
-#: adaptive (steady-state) warm-up baselines key separately from fixed
-#: ones.
-BASELINE_CACHE_VERSION = 2
-
-#: The fingerprint the baseline cache and the result store share lives
-#: in :mod:`repro.harness.results`; this alias keeps the historical
-#: import path (`from repro.harness.runner import simulator_fingerprint`)
-#: working.
+#: The store fingerprint lives in :mod:`repro.harness.results`; this
+#: alias keeps the historical import path
+#: (`from repro.harness.runner import simulator_fingerprint`) working.
 simulator_fingerprint = source_fingerprint
 
 
-class BaselineCache:
-    """Disk-backed, process-safe memoisation of single-thread IPCs.
+def _checked_ipc(ipc) -> float:
+    """A baseline IPC as stored: a plain number, both ways."""
+    if not isinstance(ipc, (int, float)):
+        raise TypeError(f"not an IPC: {ipc!r}")
+    return float(ipc)
 
-    Layout and invalidation rules:
 
-    * Entries live under ``$REPRO_CACHE_DIR/baselines/`` (defaulting to
-      ``~/.cache/repro-dcra/baselines/``), one JSON file per entry.  The
-      environment variable is re-read on every access, so tests and
-      parallel drivers can redirect the cache without re-importing.
-    * The file name is the SHA-256 of the full run descriptor:
-      :data:`BASELINE_CACHE_VERSION`, the :func:`simulator_fingerprint`
-      (a content hash of the ``repro`` source tree), benchmark name,
-      the ``repr`` of the :class:`SMTConfig` (every field participates),
-      measured cycles, the warm-up token
-      (:func:`~repro.harness.warmup.warmup_cache_token` — a plain cycle
-      count for fixed warm-up, the full policy parameterisation for
-      steady-state warm-up, so the two can never collide) and seed.
-      Changing *any* input — including any line of simulator code —
-      therefore misses rather than returning a stale value; bumping the
-      version constant invalidates everything at once.
-    * Writes go to a temporary file followed by :func:`os.replace`, so
-      concurrent readers in other processes see either the complete
-      entry or none at all — no locking is required, and racing writers
-      deterministically write identical content.
+class BaselineCache(ContentStore):
+    """Single-thread IPCs, the Hmean denominators: the ``baselines/``
+    store kind.
 
-    Disk I/O is best-effort: an unreadable or unwritable cache degrades
-    to the in-memory dictionary without failing the run.
+    The token is the full run descriptor — benchmark name, the ``repr``
+    of the :class:`SMTConfig` (every field participates), measured
+    cycles, the warm-up token
+    (:func:`~repro.harness.warmup.warmup_cache_token` — a plain cycle
+    count for fixed warm-up, the full policy parameterisation for
+    steady-state warm-up, so the two can never collide) and seed.  The
+    mechanics (key under the source fingerprint, atomic writes shared
+    by every worker process, memory layer, counters) are the shared
+    :class:`~repro.harness.results.ContentStore` core; ``stats`` counts
+    baseline traffic apart from the result store's.
     """
 
-    def __init__(self) -> None:
-        self._memory: Dict[str, float] = {}
+    subdir = "baselines"
+    codecs = {"baseline": (_checked_ipc, _checked_ipc)}
 
     @staticmethod
-    def directory() -> Path:
-        """Resolve the cache directory (honours ``REPRO_CACHE_DIR``)."""
-        root = os.environ.get("REPRO_CACHE_DIR")
-        base = Path(root) if root else Path.home() / ".cache" / "repro-dcra"
-        return base / "baselines"
-
-    @staticmethod
-    def _key(benchmark: str, config: SMTConfig, cycles: int,
-             warmup: WarmupSpec, seed: int) -> str:
-        # Shared hashing rule (repro.harness.results.cache_key): the
-        # joined descriptor is byte-identical to the pre-store format,
-        # so existing disk entries stay valid.
-        return cache_key(f"v{BASELINE_CACHE_VERSION}", source_fingerprint(),
-                         benchmark, repr(config), str(cycles),
-                         warmup_cache_token(warmup), str(seed))
+    def _token(benchmark: str, config: SMTConfig, cycles: int,
+               warmup: WarmupSpec, seed: int) -> str:
+        return (f"{benchmark}|{config!r}|{cycles}|"
+                f"{warmup_cache_token(warmup)}|{seed}")
 
     def get(self, benchmark: str, config: SMTConfig, cycles: int,
             warmup: WarmupSpec, seed: int) -> Optional[float]:
         """Cached IPC for a baseline run, or None on a miss."""
-        key = self._key(benchmark, config, cycles, warmup, seed)
-        cached = self._memory.get(key)
-        if cached is not None:
-            return cached
-        try:
-            with open(self.directory() / f"{key}.json") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        ipc = payload.get("ipc")
-        if not isinstance(ipc, (int, float)):
-            return None
-        self._memory[key] = float(ipc)
-        return float(ipc)
+        return self._get("baseline", self._token(benchmark, config, cycles,
+                                                 warmup, seed))
 
     def put(self, benchmark: str, config: SMTConfig, cycles: int,
             warmup: WarmupSpec, seed: int, ipc: float) -> None:
-        """Store a baseline result in memory and (best-effort) on disk."""
-        key = self._key(benchmark, config, cycles, warmup, seed)
-        self._memory[key] = ipc
-        directory = self.directory()
-        path = directory / f"{key}.json"
-        payload = json.dumps({
-            "ipc": ipc,
-            "version": BASELINE_CACHE_VERSION,
-            "benchmark": benchmark,
-            "cycles": cycles,
-            "warmup": warmup_cache_token(warmup),
-            "seed": seed,
-        })
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            tmp = directory / f".{key}.{os.getpid()}.tmp"
-            tmp.write_text(payload)
-            os.replace(tmp, path)
-        except OSError:
-            pass
-
-    def clear(self, disk: bool = False) -> None:
-        """Drop in-memory entries; with ``disk=True`` also wipe the files."""
-        self._memory.clear()
-        if disk:
-            shutil.rmtree(self.directory(), ignore_errors=True)
+        """Store a baseline IPC in memory and (best-effort) on disk."""
+        self._put("baseline", self._token(benchmark, config, cycles, warmup,
+                                          seed), ipc)
 
 
 #: The process-wide baseline cache instance.

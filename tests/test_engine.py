@@ -13,7 +13,6 @@ from repro.harness.engine import (
     run_jobs,
 )
 from repro.harness.runner import (
-    BaselineCache,
     baseline_cache,
     clear_baseline_cache,
     single_thread_ipc,
@@ -77,20 +76,8 @@ def _square(x):
 
 
 class TestBaselineCache:
-    def test_miss_then_disk_hit_across_instances(self):
-        clear_baseline_cache()
-        config = SMTConfig()
-        ipc = single_thread_ipc("gzip", config, CYCLES, WARMUP, seed=11)
-        # A brand-new cache object (fresh memory) must hit via disk.
-        fresh = BaselineCache()
-        assert fresh.get("gzip", config, CYCLES, WARMUP, 11) == ipc
-
-    def test_entry_written_to_cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_baseline_cache()
-        single_thread_ipc("gzip", None, CYCLES, WARMUP, seed=12)
-        files = list((tmp_path / "baselines").glob("*.json"))
-        assert len(files) == 1
+    """Baseline-kind specifics; the shared mechanics are in
+    ``test_results_store.TestStoreContract``."""
 
     def test_key_includes_config_cycles_warmup_seed(self, tmp_path,
                                                     monkeypatch):
@@ -104,28 +91,6 @@ class TestBaselineCache:
         single_thread_ipc("gzip", None, CYCLES, WARMUP, seed=13)
         files = list((tmp_path / "baselines").glob("*.json"))
         assert len(files) == 5  # five distinct descriptors, five entries
-
-    def test_version_bump_invalidates(self, tmp_path, monkeypatch):
-        from repro.harness import runner
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_baseline_cache()
-        single_thread_ipc("gzip", None, CYCLES, WARMUP, seed=12)
-        monkeypatch.setattr(runner, "BASELINE_CACHE_VERSION",
-                            runner.BASELINE_CACHE_VERSION + 1)
-        fresh = BaselineCache()
-        assert fresh.get("gzip", SMTConfig(), CYCLES, WARMUP, 12) is None
-
-    def test_source_change_invalidates(self, tmp_path, monkeypatch):
-        """Entries written by a different simulator source never hit."""
-        from repro.harness import results
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_baseline_cache()
-        single_thread_ipc("gzip", None, CYCLES, WARMUP, seed=12)
-        monkeypatch.setattr(results, "_fingerprint_cache", "0000other0000000")
-        fresh = BaselineCache()
-        assert fresh.get("gzip", SMTConfig(), CYCLES, WARMUP, 12) is None
 
     def test_disk_hit_skips_simulation(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -141,22 +106,6 @@ class TestBaselineCache:
         monkeypatch.setattr(runner, "run_benchmarks", boom)
         assert single_thread_ipc("gzip", None, CYCLES, WARMUP,
                                  seed=12) == expected
-
-    def test_clear_disk_removes_entries(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_baseline_cache()
-        single_thread_ipc("gzip", None, CYCLES, WARMUP, seed=12)
-        clear_baseline_cache(disk=True)
-        assert not (tmp_path / "baselines").exists()
-
-    def test_corrupt_entry_degrades_to_miss(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_baseline_cache()
-        single_thread_ipc("gzip", None, CYCLES, WARMUP, seed=12)
-        (entry,) = (tmp_path / "baselines").glob("*.json")
-        entry.write_text("{not json")
-        fresh = BaselineCache()
-        assert fresh.get("gzip", SMTConfig(), CYCLES, WARMUP, 12) is None
 
 
 class TestCrossProcessCache:

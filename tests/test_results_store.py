@@ -1,11 +1,19 @@
-"""Content-addressed result store: keys, round-trips, reuse modes."""
+"""Content-addressed stores: the core contract every kind shares, and
+the result store's keys, round-trips and reuse modes."""
 
 import dataclasses
+import gzip
 import json
+import os
+import sys
+import threading
+import time
+from typing import Callable
 
 import pytest
 
 from repro.harness import results as results_mod
+from repro.harness.checkpoints import CheckpointStore
 from repro.harness.engine import SimJob, run_job, run_jobs, run_jobs_streaming
 from repro.harness.executors import SerialExecutor
 from repro.harness.results import (
@@ -21,8 +29,9 @@ from repro.harness.results import (
     timeline_from_payload,
     timeline_to_payload,
 )
-from repro.harness.runner import run_benchmarks_intervals
+from repro.harness.runner import BaselineCache, run_benchmarks_intervals
 from repro.harness.warmup import WarmupPolicy
+from repro.metrics.stats import SimulationResult, ThreadResult
 from repro.pipeline.config import SMTConfig
 
 CYCLES = 1_500
@@ -102,29 +111,8 @@ class TestPayloadRoundTrips:
 
 
 class TestStore:
-    def test_miss_then_hit(self):
-        store = ResultStore()
-        assert store.get(JOB) is None
-        result = run_job(JOB)
-        store.put(JOB, result)
-        assert store.get(JOB) == result
-        assert store.stats.hits == 1
-        assert store.stats.misses == 1
-        assert store.stats.stores == 1
-
-    def test_disk_hit_across_instances(self):
-        store = ResultStore()
-        result = run_job(JOB)
-        store.put(JOB, result)
-        fresh = ResultStore()  # no memory, same REPRO_CACHE_DIR
-        assert fresh.get(JOB) == result
-
-    def test_source_edit_invalidates(self, monkeypatch):
-        store = ResultStore()
-        store.put(JOB, run_job(JOB))
-        monkeypatch.setattr(results_mod, "_fingerprint_cache",
-                            "1111other1111111")
-        assert ResultStore().get(JOB) is None
+    """Result-kind specifics; the shared mechanics are in
+    :class:`TestStoreContract`."""
 
     def test_require_raises_on_cold_store(self):
         with pytest.raises(ResultStoreMiss, match="no stored result"):
@@ -139,25 +127,180 @@ class TestStore:
         with pytest.raises(ValueError, match="unknown payload kind"):
             ResultStore().get(JOB, "bogus")
 
-    def test_corrupt_entry_degrades_to_miss(self):
-        store = ResultStore()
-        store.put(JOB, run_job(JOB))
-        key = store.key_for(JOB)
-        path = store.directory() / f"{key}.json"
-        path.write_text("{not json")
-        assert ResultStore().get(JOB) is None
 
-    def test_valid_json_with_broken_payload_degrades_to_miss(self):
-        """A decodable file whose payload shape is wrong is a miss, not
-        a crash (e.g. hand-edited timeline entries of bad arity)."""
-        store = ResultStore()
-        key = store.key_for(JOB, "phase_timeline")
-        store.directory().mkdir(parents=True, exist_ok=True)
-        (store.directory() / f"{key}.json").write_text(json.dumps({
-            "version": 1, "kind": "phase_timeline", "job": "x",
-            "data": {"num_threads": 2, "entries": [[1, 2, 3]]},
-        }))
-        assert ResultStore().get(JOB, "phase_timeline") is None
+def _result(i: int) -> SimulationResult:
+    thread = ThreadResult("gzip", 1_500 + i, 1.5, 1_800, 100, 50, 0.05,
+                          0.01, 0.2, 0.1)
+    return SimulationResult("ICOUNT", CYCLES + i, [thread], 0.25, WARMUP)
+
+
+@dataclasses.dataclass(frozen=True)
+class StoreKind:
+    """How the contract drives one store kind: the ``get``/``put``
+    arguments of entry ``i`` (those before the value) and its value."""
+
+    store: type
+    args: Callable[[int], tuple]
+    value: Callable[[int], object]
+
+    def put(self, store, i: int = 0) -> None:
+        store.put(*self.args(i), self.value(i))
+
+    def get(self, store, i: int = 0):
+        return store.get(*self.args(i))
+
+
+KINDS = {
+    "results": StoreKind(
+        ResultStore, lambda i: (dataclasses.replace(JOB, seed=100 + i),),
+        _result),
+    "checkpoints": StoreKind(
+        CheckpointStore, lambda i: (f"gzip|ICOUNT|cfg|{WARMUP}|{i}|mono",),
+        lambda i: {"policy": "ICOUNT", "warmup_cycles": WARMUP,
+                   "warmup_converged": None, "discarded": [],
+                   "state": {"seed": i}}),
+    "baselines": StoreKind(
+        BaselineCache, lambda i: ("gzip", SMTConfig(), CYCLES, WARMUP, i),
+        lambda i: 1.0 + i / 8),
+}
+
+
+def _reencode(entry, gzipped: bool) -> bytes:
+    raw = json.dumps(entry).encode()
+    return gzip.compress(raw) if gzipped else raw
+
+
+def _flip_middle_byte(raw: bytes, gzipped: bool) -> bytes:
+    middle = len(raw) // 2
+    return raw[:middle] + bytes([raw[middle] ^ 0xFF]) + raw[middle + 1:]
+
+
+def _wrong_data_shape(raw: bytes, gzipped: bool) -> bytes:
+    entry = json.loads(gzip.decompress(raw) if gzipped else raw)
+    entry["data"] = {"unexpected": [1, 2]}
+    return _reencode(entry, gzipped)
+
+
+#: Ways an entry file can be damaged: (raw bytes, gzipped?) -> bytes.
+CORRUPTIONS = {
+    "flipped byte": _flip_middle_byte,
+    "truncated": lambda raw, gzipped: raw[:len(raw) // 2],
+    "json array": lambda raw, gzipped: _reencode([1, 2], gzipped),
+    "wrong data shape": _wrong_data_shape,
+}
+
+
+@pytest.fixture(params=sorted(KINDS))
+def kind(request) -> StoreKind:
+    return KINDS[request.param]
+
+
+class TestStoreContract:
+    """What every store kind gets from the shared core, per kind."""
+
+    def test_miss_then_hit_with_stats(self, kind):
+        store = kind.store()
+        assert kind.get(store) is None
+        kind.put(store)
+        assert kind.get(store) == kind.value(0)
+        assert store.stats.as_dict() == {"hits": 1, "misses": 1,
+                                         "stores": 1}
+
+    def test_disk_hit_from_fresh_instance(self, kind, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        kind.put(kind.store())
+        (path,) = (tmp_path / kind.store.subdir).iterdir()
+        assert path.name.endswith(".json.gz" if kind.store.gzipped
+                                  else ".json")
+        assert kind.get(kind.store()) == kind.value(0)
+
+    @pytest.mark.parametrize("attr, value", [
+        ("_fingerprint_cache", "0123456789abcdef"),
+        ("STORE_VERSION", results_mod.STORE_VERSION + 1),
+    ], ids=["fingerprint", "version"])
+    def test_stale_entry_misses(self, kind, attr, value, monkeypatch):
+        kind.put(kind.store())
+        monkeypatch.setattr(results_mod, attr, value)
+        store = kind.store()
+        assert kind.get(store) is None
+        (entry,) = store.list_entries()
+        assert "stale entry" in store.explain_miss(entry["kind"],
+                                                   entry["token"])
+
+    def test_clear_disk_removes_the_directory(self, kind):
+        store = kind.store()
+        kind.put(store)
+        store.clear(disk=True)
+        assert not store.directory().exists()
+        assert kind.get(store) is None
+
+    def test_list_remove_gc(self, kind):
+        store = kind.store()
+        for i in range(4):
+            kind.put(store, i)
+        entries = list(store.list_entries())
+        assert len(entries) == 4
+        assert all(entry["current"] for entry in entries)
+        values = [kind.value(i) for i in range(4)]
+        assert all(entry["data"] in values for entry in entries)
+        keys = [entry["key"] for entry in entries]
+        sizes = {entry["key"]: entry["size"] for entry in entries}
+
+        def age(key: str, seconds: float) -> None:
+            (path,) = store.directory().glob(key + "*")
+            os.utime(path, (time.time() - seconds,) * 2)
+
+        assert store.remove(keys[0][:12]) == 1
+        age(keys[1], 2 * 86400)
+        assert store.gc(max_age_days=1) == (1, sizes[keys[1]])
+        age(keys[2], 100)
+        age(keys[3], 50)
+        # By size, the oldest entries go until the rest fits.
+        assert store.gc(max_total_bytes=sizes[keys[3]]) == \
+            (1, sizes[keys[2]])
+        assert [entry["key"] for entry in store.list_entries()] == [keys[3]]
+        assert store.gc(max_total_bytes=0) == (1, sizes[keys[3]])
+        assert list(store.list_entries()) == []
+
+    def test_racing_puts_leave_one_readable_entry(self, kind):
+        store = kind.store()
+        barrier = threading.Barrier(8)
+
+        def racer():
+            barrier.wait(timeout=10)
+            kind.put(store)
+
+        threads = [threading.Thread(target=racer) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        (path,) = store.directory().iterdir()  # no temporary file left
+        assert not path.name.endswith(".tmp")
+        assert kind.get(kind.store()) == kind.value(0)
+
+    @pytest.mark.parametrize("corrupt", sorted(CORRUPTIONS))
+    def test_unreadable_entry_is_a_miss(self, kind, corrupt):
+        store = kind.store()
+        kind.put(store)
+        (path,) = store.directory().iterdir()
+        damaged = CORRUPTIONS[corrupt](path.read_bytes(), store.gzipped)
+        # Listing skips the entry; removal works from file names.
+        path.write_bytes(damaged)
+        assert list(kind.store().list_entries()) == []
+        assert store.remove("") == 1 and not path.exists()
+        # A read is a miss that removes the file; the next put rewrites it.
+        path.write_bytes(damaged)
+        fresh = kind.store()
+        assert kind.get(fresh) is None and not path.exists()
+        kind.put(fresh)
+        assert kind.get(kind.store()) == kind.value(0)
 
 
 class TestEngineReuse:
