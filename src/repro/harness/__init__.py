@@ -13,17 +13,19 @@ worker count on any backend, with seed-replication statistics through
 
 :mod:`repro.harness.executors` provides the backends: in-process
 (:class:`~repro.harness.executors.SerialExecutor`), local process pool
-(:class:`~repro.harness.executors.ProcessExecutor`), socket-based
-remote workers (:class:`~repro.harness.executors.RemoteExecutor`, worker
-side in :mod:`repro.harness.remote_worker`), and clients of a
+(:class:`~repro.harness.executors.ProcessExecutor`), clients of a
 persistent broker service
-(:class:`~repro.harness.executors.BrokerExecutor`).
+(:class:`~repro.harness.executors.BrokerExecutor`), and socket-based
+remote workers behind a private broker
+(:class:`~repro.harness.executors.RemoteExecutor`; worker side in
+:mod:`repro.harness.remote_worker`).
 
-:mod:`repro.harness.broker` is that service
-(:class:`~repro.harness.broker.Broker`, ``repro broker serve``): a
-long-lived asyncio process multiplexing one dynamic worker pool across
-many concurrent clients, with a durable fair job queue, broker-side
-result-store serving, and a stdlib HTTP facade.
+:mod:`repro.harness.broker` is the one socket server
+(:class:`~repro.harness.broker.Broker`): an asyncio event loop
+multiplexing one dynamic worker pool across many concurrent clients,
+with a fair job queue, dead-worker requeue and progress routing.  As
+the long-lived ``repro broker serve`` it adds a durable queue,
+broker-side result-store serving and a stdlib HTTP facade.
 
 :mod:`repro.harness.scenario` makes whole experiments declarative:
 frozen :class:`~repro.harness.scenario.Scenario` specs (workloads,

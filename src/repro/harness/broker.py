@@ -1,11 +1,7 @@
-"""Persistent simulation broker: one worker pool, many clients.
+"""Simulation broker: the one socket server, one worker pool, many clients.
 
-Before this module, every sweep owned its fleet: a ``compare`` or
-``scenario run`` built a private :class:`~repro.harness.executors.RemoteExecutor`,
-spawned workers, ran its jobs and tore everything down.  The broker
-inverts that ownership — it is a *long-lived service* that multiplexes
-one dynamically-sized worker pool across any number of concurrent
-clients::
+A broker multiplexes one dynamically-sized worker pool across any
+number of concurrent clients, either as a long-lived shared service::
 
     repro broker serve --port 7340 --spawn-workers 4      # the service
     repro compare gzip+twolf --executor broker \\
@@ -13,18 +9,20 @@ clients::
     python -m repro.harness.remote_worker \\
         --connect 127.0.0.1:7340                          # extra capacity
 
-Everything speaks the protocol PRs 2–5 already established: length-
-prefixed frames, a versioned JSON handshake (token-authenticated via
-``$REPRO_REMOTE_TOKEN``), pickle task flow after authentication.  A
-connection's ``role`` decides its side of the conversation:
+or as the private fleet of one sweep, which a
+:class:`~repro.harness.executors.RemoteExecutor` starts and stops.
+
+Every connection speaks one protocol: length-prefixed frames, a
+versioned JSON handshake (token-authenticated via
+``$REPRO_REMOTE_TOKEN``; a failed one is answered with ``["reject",
+reason]`` and a :class:`RuntimeWarning`), pickle task flow after
+authentication.  A connection's ``role`` decides its side:
 
 * **Workers** (role ``worker`` — the default, so existing
-  ``remote_worker`` processes join unchanged) serve the exact pull loop
-  they serve a ``RemoteExecutor``: receive ``("tasks", [blob])``,
-  compute, reply ``("progress", ...)`` / ``("results", ...)``.  Workers
-  join and leave at any time; a worker that dies mid-task has the task
-  re-queued (up to ``max_attempts``, the executor stack's existing
-  attempt-cap rule).
+  ``remote_worker`` processes join unchanged) serve a pull loop:
+  receive ``("tasks", [blob])``, compute, reply ``("progress", ...)`` /
+  ``("results", ...)``.  Workers join and leave at any time; a worker
+  that dies mid-task has the task re-queued (up to ``max_attempts``).
 * **Clients** (role ``client``) submit work and receive routed replies:
   ``("submit", spec)`` is answered by ``("accepted", id)`` or
   ``("rejected", id, reason)``, then eventually ``("progress", id,
@@ -63,15 +61,16 @@ A thin stdlib-only HTTP facade (``--http-port``) exposes ``POST
 that speak JSON rather than the socket protocol.
 
 The client side of the socket protocol lives in
-:class:`~repro.harness.executors.BrokerExecutor`, the fourth backend
-behind the ``Executor`` ABC — so ``run_jobs``, ``run_replicated``,
+:class:`~repro.harness.executors.BrokerExecutor` (and its subclass
+``RemoteExecutor``) — so ``run_jobs``, ``run_replicated``,
 ``run_scenario`` and every paper driver work unchanged via
-``--executor broker``.
+``--executor broker`` or ``remote``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import heapq
 import itertools
 import json
 import os
@@ -80,6 +79,7 @@ import struct
 import sys
 import threading
 import time
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -137,7 +137,9 @@ class FairQueue:
     round-robin, so a client that dumps a thousand jobs shares the
     worker pool equally with one that submits a single job at the same
     priority.  Within one client, entries of equal priority run in
-    submission order.
+    submission order.  Each client's entries form a heap keyed by
+    ``(-priority, seq)``, so ``push`` and ``pop`` cost O(log n) in that
+    client's backlog: a whole sweep can sit in one client's queue.
 
     Deliberately synchronous and lock-free: the broker calls it only
     from its event-loop thread, and the fairness tests drive it
@@ -149,8 +151,11 @@ class FairQueue:
             raise ValueError(
                 f"max_pending must be >= 1, got {max_pending}")
         self.max_pending = max_pending
-        self._queues: Dict[str, List[QueueEntry]] = {}
+        # client -> heap of (-priority, seq, tiebreak, entry); the
+        # tiebreak keeps two entries from ever being compared.
+        self._queues: Dict[str, List[tuple]] = {}
         self._order: deque = deque()  # round-robin cursor over clients
+        self._tiebreak = itertools.count()
         self._size = 0
 
     def __len__(self) -> int:
@@ -178,22 +183,22 @@ class FairQueue:
         if pending is None:
             pending = self._queues[entry.client] = []
             self._order.append(entry.client)
-        pending.append(entry)
-        pending.sort(key=lambda e: (-e.priority, e.seq))
+        heapq.heappush(pending, (-entry.priority, entry.seq,
+                                 next(self._tiebreak), entry))
         self._size += 1
 
     def pop(self) -> Optional[QueueEntry]:
         """The next entry to dispatch, or None when empty."""
         if not self._size:
             return None
-        best = max(queue[0].priority for queue in self._queues.values())
+        best = min(queue[0][0] for queue in self._queues.values())
         for _ in range(len(self._order)):
             client = self._order[0]
             self._order.rotate(-1)
             pending = self._queues[client]
-            if pending[0].priority != best:
+            if pending[0][0] != best:
                 continue
-            entry = pending.pop(0)
+            entry = heapq.heappop(pending)[-1]
             self._size -= 1
             if not pending:
                 del self._queues[client]
@@ -212,8 +217,12 @@ class FairQueue:
         pending = self._queues.get(client)
         if pending is None:
             return []
-        kept = [e for e in pending if keep is not None and keep(e)]
-        dropped = [e for e in pending if e not in kept]
+        kept, dropped = [], []
+        for item in sorted(pending):  # queue order; sorted is a heap
+            if keep is not None and keep(item[-1]):
+                kept.append(item)
+            else:
+                dropped.append(item[-1])
         self._size -= len(dropped)
         if kept:
             self._queues[client] = kept
@@ -496,7 +505,8 @@ class Broker:
             except Exception as error:  # noqa: BLE001 - junk or timeout
                 await self._reject(
                     writer, f"no valid handshake received within "
-                    f"{self.handshake_timeout:.0f}s ({error})")
+                    f"{self.handshake_timeout:.0f}s ({error}; peer "
+                    f"predates protocol v{PROTOCOL_VERSION}?)")
                 return
             role, reason = validate_hello(hello)
             if reason is not None:
@@ -504,8 +514,7 @@ class Broker:
                 return
             try:
                 await self._send(writer, encode_handshake(
-                    ["welcome", {"version": PROTOCOL_VERSION,
-                                 "service": "broker"}]))
+                    ["welcome", {"version": PROTOCOL_VERSION}]))
             except (ConnectionError, OSError):
                 return
             if role == "client":
@@ -522,7 +531,9 @@ class Broker:
 
     async def _reject(self, writer: asyncio.StreamWriter,
                       reason: str) -> None:
-        self._log(f"rejected a connection: {reason}")
+        """Answer a failed handshake with a clean, explained rejection."""
+        warnings.warn(f"broker rejected a connection: {reason}",
+                      RuntimeWarning, stacklevel=2)
         try:
             await self._send(writer, encode_handshake(["reject", reason]))
         except (ConnectionError, OSError):
@@ -1063,7 +1074,7 @@ class BrokerClient:
     and the ``repro broker submit|status`` commands: one authenticated
     connection, a background reader thread routing replies, and
     thread-safe submission — several executor ``map`` calls can share
-    one client.
+    one client.  :attr:`last_frame` is when it last received anything.
     """
 
     def __init__(self, address, handshake_timeout: Optional[float] = None,
@@ -1077,13 +1088,14 @@ class BrokerClient:
         self.address = tuple(address)
         self.timeout = resolve_timeout(
             timeout, "REPRO_BROKER_TIMEOUT", 600.0, "broker timeout")
-        handshake_timeout = resolve_timeout(
+        self.handshake_timeout = resolve_timeout(
             handshake_timeout, "REPRO_REMOTE_HANDSHAKE_TIMEOUT", 10.0,
             "handshake timeout")
-        self._sock = socket_module.create_connection(self.address,
-                                                     timeout=handshake_timeout)
+        self._sock = socket_module.create_connection(
+            self.address, timeout=self.handshake_timeout)
         self.welcome = perform_client_handshake(self._sock, role="client")
         self._sock.settimeout(None)
+        self.last_frame = time.monotonic()
         self._send_lock = threading.Lock()
         self._route_lock = threading.Lock()
         self._routes: Dict[str, "queue.Queue"] = {}
@@ -1102,6 +1114,7 @@ class BrokerClient:
         try:
             while True:
                 message = pickle.loads(recv_message(self._sock))
+                self.last_frame = time.monotonic()
                 kind = message[0]
                 if kind == "status":
                     self._status_waiters.put(message[1])
@@ -1116,20 +1129,23 @@ class BrokerClient:
         except Exception as error:  # noqa: BLE001 - connection death
             self._dead = str(error)
             with self._route_lock:
-                routes = list(self._routes.values())
+                routes = set(self._routes.values())
             for route in routes:
                 route.put(("connection-lost", None, self._dead))
             self._status_waiters.put(None)
 
-    def open_route(self, submission_id: str) -> "queue.Queue":
+    def open_route(self, *submission_ids: str) -> "queue.Queue":
+        """One queue receiving the replies to every given submission."""
         route = _queue_module().Queue()
         with self._route_lock:
-            self._routes[submission_id] = route
+            for submission_id in submission_ids:
+                self._routes[submission_id] = route
         return route
 
-    def close_route(self, submission_id: str) -> None:
+    def close_route(self, *submission_ids: str) -> None:
         with self._route_lock:
-            self._routes.pop(submission_id, None)
+            for submission_id in submission_ids:
+                self._routes.pop(submission_id, None)
 
     def _send(self, message) -> None:
         from repro.harness.remote_worker import send_message

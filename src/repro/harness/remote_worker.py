@@ -1,10 +1,11 @@
 """Worker side of the remote execution protocol.
 
 A worker is a process — on this machine or any other that can import
-:mod:`repro` — that connects to a
-:class:`~repro.harness.executors.RemoteExecutor`'s listening socket and
-serves a pull loop: receive one task, compute it, send the result back.
-Run one per core on each machine you want in the fleet::
+:mod:`repro` — that connects to a :class:`~repro.harness.broker.Broker`'s
+listening socket (a shared ``repro broker serve`` or the private broker
+of a :class:`~repro.harness.executors.RemoteExecutor`) and serves a pull
+loop: receive a task, compute it, send the result back.  Run one per
+core on each machine you want in the fleet::
 
     python -m repro.harness.remote_worker --connect HOST:PORT
 
@@ -20,15 +21,15 @@ Wire protocol (deliberately minimal):
   begins, or ``["reject", reason]`` and closes — a version or token
   mismatch is a clean, explained error on both ends, never a pickle
   crash mid-sweep.  JSON (plus a size cap on the hello) is deliberate:
-  the executor never unpickles a byte from a connection that has not
+  the server never unpickles a byte from a connection that has not
   authenticated, so an unauthenticated stranger cannot smuggle a
   malicious pickle through the handshake.  A worker that receives
-  anything else first (an executor predating the handshake) also fails
+  anything else first (a server predating the handshake) also fails
   cleanly.
 * Server -> worker: ``("tasks", [blob, ...])`` — each blob a pickled
   ``(func, item)`` pair with ``func`` a picklable top-level callable —
-  or ``("shutdown", None)``.  Batching several tasks per message
-  amortises the round-trip for sweeps of many small jobs.
+  or ``("shutdown", None)``.  The broker sends one blob per message;
+  the worker serves a list of any length.
 * Worker -> server: zero or more ``("progress", position, event)``
   messages while a batch computes (``position`` indexes into the batch;
   events come from the worker's progress sink, see
@@ -36,17 +37,16 @@ Wire protocol (deliberately minimal):
   ``("results", [(ok, value), ...])`` with one ``(True, result)`` /
   ``(False, traceback_text)`` pair per task.  The worker survives task
   exceptions and keeps serving.
-* The legacy single-task form ``("task", (func, item))`` (answered by a
-  bare ``(ok, value)`` pair) is still accepted *within a protocol
-  version*, so an executor may mix framings freely after the handshake.
+* Any other frame kind is answered with one ``(False, "unknown frame
+  kind ...")`` outcome, and the worker keeps serving.
 
 The shared-secret token authenticates, it does not encrypt: on
-untrusted networks run the executor behind an SSH tunnel or a TLS
+untrusted networks run the broker behind an SSH tunnel or a TLS
 terminator (the protocol is plain TCP by design — see README).
 
 Determinism of the overall sweep does not depend on this module: tasks
 are pure functions of their item, so the executor reassembles identical
-results whatever worker ran them, in whatever order or batching.
+results whatever worker ran them, in whatever order.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ __all__ = [
     "client_hello", "validate_hello", "encode_handshake",
     "decode_handshake", "perform_client_handshake", "resolve_timeout",
     "send_message", "recv_message", "serve_connection", "worker_loop",
-    "install_signal_handlers", "spawn_loopback_workers", "main",
+    "install_signal_handlers", "spawn_loopback_workers",
+    "worker_stderr_tail", "main",
 ]
 
 _LENGTH_PREFIX = struct.Struct(">I")
@@ -79,13 +80,13 @@ PROTOCOL_MAGIC = "repro-remote"
 PROTOCOL_VERSION = 2
 
 #: Upper bound on a handshake message: hellos are a few hundred bytes,
-#: and the executor must never allocate attacker-sized buffers (or
+#: and the server must never allocate attacker-sized buffers (or
 #: unpickle anything) for a connection that has not authenticated yet.
 MAX_HANDSHAKE_BYTES = 64 * 1024
 
 
 class HandshakeError(ConnectionError):
-    """Raised when the executor/worker handshake fails or is rejected."""
+    """Raised when the server/worker handshake fails or is rejected."""
 
 
 class GracefulExit(BaseException):
@@ -200,7 +201,7 @@ def client_hello(role: str = "worker") -> List:
 
 
 def validate_hello(hello) -> Tuple[Optional[str], Optional[str]]:
-    """Server-side hello validation, shared by executor and broker.
+    """Server-side hello validation (the broker's).
 
     Returns ``(role, None)`` when the peer may proceed to the pickle
     layer, or ``(None, reason)`` describing the mismatch.  Checks
@@ -255,7 +256,7 @@ def perform_client_handshake(sock: socket.socket,
 
     Raises :class:`HandshakeError` with the server's reason on a
     rejection, or a description of the mismatch when the peer does not
-    speak the handshake at all (an executor predating protocol v2).
+    speak the handshake at all (a server predating protocol v2).
     """
     send_message(sock, encode_handshake(client_hello(role)))
     try:
@@ -336,17 +337,13 @@ def _run_task(blob: bytes, sock: socket.socket, position: int,
 
 
 def serve_connection(sock: socket.socket, state: WorkerState) -> None:
-    """The one task loop every server mode shares.
+    """Serve task batches on one authenticated connection.
 
-    A ``RemoteExecutor``'s per-sweep fleet and a persistent
-    :class:`~repro.harness.broker.Broker` speak the identical server
-    side of the protocol, so one connection is served by this single
-    loop regardless of what is on the far end.  Runs until the server
-    sends ``shutdown``, the connection drops, or graceful stop: when
-    ``state.stop_requested`` latches (first SIGTERM/SIGINT) the loop
-    finishes the batch in flight, puts its results on the wire, and
-    returns — the server sees an orderly disconnect between batches,
-    never a death mid-pickle.
+    Runs until the server sends ``shutdown``, the connection drops, or
+    graceful stop: when ``state.stop_requested`` latches (first
+    SIGTERM/SIGINT) the loop finishes the batch in flight, puts its
+    results on the wire, and returns — the server sees an orderly
+    disconnect between batches, never a death mid-pickle.
     """
     while True:
         frame = recv_message(sock)
@@ -356,25 +353,19 @@ def serve_connection(sock: socket.socket, state: WorkerState) -> None:
                 kind, payload = pickle.loads(frame)
             except Exception:  # noqa: BLE001 - a frame this worker cannot
                 # decode must not kill it: report one failed outcome and
-                # keep serving (the server treats a length mismatch as a
-                # channel failure and requeues the batch elsewhere).
+                # keep serving.
                 send_message(sock, pickle.dumps(
                     ("results", [(False, traceback.format_exc())])))
                 state.completed += 1
                 continue
             if kind == "shutdown":
                 return
-            if kind == "task":  # legacy single-task framing
-                try:
-                    func, item = payload
-                    reply = (True, func(item))
-                except Exception:  # noqa: BLE001 - reported to the server
-                    reply = (False, traceback.format_exc())
-                send_message(sock, pickle.dumps(reply))
-                state.completed += 1
-                continue
-            outcomes = [_run_task(blob, sock, position, state)
-                        for position, blob in enumerate(payload)]
+            if kind == "tasks":
+                outcomes = [_run_task(blob, sock, position, state)
+                            for position, blob in enumerate(payload)]
+            else:
+                outcomes = [(False, f"unknown frame kind {kind!r}; this "
+                             "worker serves 'tasks' and 'shutdown'")]
             send_message(sock, pickle.dumps(("results", outcomes)))
             state.completed += len(outcomes)
         finally:
@@ -388,10 +379,7 @@ def worker_loop(host: str, port: int,
     """Serve task batches from one server until it sends ``shutdown``.
 
     Returns the number of tasks completed (exceptions included); used
-    as the loopback-spawn target and by the CLI below.  The same loop
-    serves both a sweep-private ``RemoteExecutor`` fleet and a
-    persistent broker — they differ only in what address the worker
-    connects to.
+    by the CLI below, which is also what loopback workers run.
     """
     state = state or WorkerState()
     with socket.create_connection((host, port)) as sock:
@@ -440,6 +428,23 @@ def spawn_loopback_workers(address: Tuple[str, int], count: int) -> List:
     return processes
 
 
+def worker_stderr_tail(processes, limit: int = 2000) -> str:
+    """The tail of each spawned worker's captured stderr (or ``""``)."""
+    chunks = []
+    for process in processes:
+        path = getattr(process, "stderr_path", None)
+        if not path:
+            continue
+        try:
+            with open(path) as handle:
+                text = handle.read()[-limit:].strip()
+        except OSError:
+            continue
+        if text:
+            chunks.append(f"worker pid {process.pid} stderr:\n{text}")
+    return ("\n" + "\n".join(chunks)) if chunks else ""
+
+
 def _parse_address(value: str) -> Tuple[str, int]:
     host, _, port = value.rpartition(":")
     if not host or not port.isdigit():
@@ -451,10 +456,10 @@ def _parse_address(value: str) -> Tuple[str, int]:
 def main(argv: Sequence[str] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness.remote_worker",
-        description="Serve simulation tasks for a RemoteExecutor.")
+        description="Serve simulation tasks for a broker.")
     parser.add_argument("--connect", type=_parse_address, required=True,
                         metavar="HOST:PORT",
-                        help="address the RemoteExecutor is listening on")
+                        help="address the broker is listening on")
     args = parser.parse_args(argv)
     host, port = args.connect
     state = WorkerState()

@@ -8,10 +8,13 @@ submissions are answered from the result store with zero simulations;
 and SIGTERM/SIGINT never kill a worker mid-pickle.
 """
 
+import bisect
 import json
 import os
 import pickle
+import random
 import signal
+import sys
 import threading
 import time
 import urllib.error
@@ -83,6 +86,12 @@ def _square(x):
 
 def _boom(x):
     raise ValueError(f"task {x} exploded")
+
+
+def _sleep_then_return(arg):
+    delay, value = arg
+    time.sleep(delay)
+    return value
 
 
 def _marked_sleep(arg):
@@ -190,6 +199,55 @@ class TestFairQueue:
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError, match="max_pending"):
             FairQueue(max_pending=0)
+
+    def test_pop_order_matches_a_sorted_reference(self):
+        """2 clients x 6,000 entries, mixed priorities, requeues: the
+        heap pops in the order of per-client lists kept sorted by
+        ``(-priority, seq)`` under the same round-robin."""
+        rng = random.Random(17)
+        queue, lists, order = FairQueue(max_pending=sys.maxsize), {}, []
+
+        def reference_push(entry):
+            if entry.client not in lists:
+                lists[entry.client] = []
+                order.append(entry.client)
+            bisect.insort(lists[entry.client], entry,
+                          key=lambda e: (-e.priority, e.seq))
+
+        def reference_pop():
+            best = max(pending[0].priority for pending in lists.values())
+            while True:
+                client = order.pop(0)
+                order.append(client)
+                if lists[client][0].priority == best:
+                    break
+            entry = lists[client].pop(0)
+            if not lists[client]:
+                del lists[client]
+                order.remove(client)
+            return entry
+
+        entries = [_entry(client, seq, priority=rng.choice((0, 1, 5)))
+                   for seq in range(6_000) for client in ("a", "b")]
+        rng.shuffle(entries)
+        popped, expected = [], []
+        for entry in entries:
+            queue.push(entry)
+            reference_push(entry)
+            if rng.random() < 0.3:
+                popped.append(queue.pop())
+                expected.append(reference_pop())
+        while len(queue):
+            entry = queue.pop()
+            popped.append(entry)
+            expected.append(reference_pop())
+            if entry.attempts == 0 and rng.random() < 0.1:
+                entry.attempts = 1
+                queue.push(entry, requeue=True)
+                reference_push(entry)
+        assert not lists
+        assert [e.job_id for e in popped] == [e.job_id for e in expected]
+        assert len(popped) > 12_000
 
 
 class TestBrokerDeterminism:
@@ -314,6 +372,56 @@ class TestWorkerChurn:
                     spawn_loopback_workers(broker.address, 1))
                 thread.join(timeout=120.0)
                 assert collector["results"] == [i * i for i in range(5)]
+
+
+class TestIdleClock:
+    """The idle timeout counts silence on the connection, not per call."""
+
+    @pytest.fixture(params=["broker", "remote"])
+    def one_worker_executor(self, request):
+        """An executor with one connected worker and timeout=1.5."""
+        if request.param == "broker":
+            with Broker(spawn_workers=1, durable=False) as broker:
+                with BrokerExecutor(broker.address,
+                                    timeout=1.5) as executor:
+                    yield executor
+        else:
+            with RemoteExecutor(spawn_workers=1, timeout=1.5) as executor:
+                yield executor
+
+    def test_call_queued_behind_another_call_completes(
+            self, one_worker_executor):
+        executor = one_worker_executor
+        deadline = time.monotonic() + 60.0
+        while executor.status()["workers"] < 1:
+            assert time.monotonic() < deadline, "worker never connected"
+            time.sleep(0.05)
+        outputs, errors = {}, []
+
+        def run(key, func, items):
+            try:
+                outputs[key] = executor.map(func, items)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        first = threading.Thread(target=run, args=(
+            "sleeps", _sleep_then_return, [(0.5, i) for i in range(5)]))
+        second = threading.Thread(target=run, args=(
+            "square", _square, [7]))
+        first.start()
+        time.sleep(0.2)  # the second call queues behind all five sleeps
+        second.start()
+        for thread in (first, second):
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        assert not errors
+        assert outputs == {"sleeps": list(range(5)), "square": [49]}
+
+    def test_no_workers_times_out(self):
+        with Broker(spawn_workers=0, durable=False) as broker:
+            with BrokerExecutor(broker.address, timeout=0.5) as executor:
+                with pytest.raises(RuntimeError, match="no progress"):
+                    executor.map(_square, [1])
 
 
 class TestBackpressure:

@@ -6,6 +6,9 @@ remote socket workers — produces bitwise-identical
 streaming APIs reassemble to exactly the blocking output.
 """
 
+import os
+import time
+
 import pytest
 
 from repro.harness.engine import (
@@ -23,6 +26,7 @@ from repro.harness.executors import (
     SerialExecutor,
     make_executor,
 )
+from repro.harness.results import result_store
 
 CYCLES = 1_000
 WARMUP = 250
@@ -56,6 +60,10 @@ def _square(x):
 
 def _boom(x):
     raise ValueError(f"task {x} exploded")
+
+
+def _exit_worker(x):
+    os._exit(1)
 
 
 class TestBackendDeterminism:
@@ -165,42 +173,57 @@ class TestExecutorBehaviour:
 
 
 class TestRemoteBatching:
-    """Task batching amortises round-trips without changing results."""
+    """One task per round trip, whatever the backlog, matches serial."""
 
     def test_fixed_batch_size_matches_serial(self):
         items = list(range(17))
-        with RemoteExecutor(spawn_workers=2, timeout=120.0,
-                            batch_size=4) as executor:
+        with RemoteExecutor(spawn_workers=2, timeout=120.0) as executor:
             assert executor.map(_square, items) == [i * i for i in items]
 
     def test_batch_of_one_matches_serial(self):
         items = list(range(5))
-        with RemoteExecutor(spawn_workers=1, timeout=120.0,
-                            batch_size=1) as executor:
+        with RemoteExecutor(spawn_workers=1, timeout=120.0) as executor:
             assert executor.map(_square, items) == [i * i for i in items]
 
     def test_adaptive_batching_on_deep_queue(self):
-        """Default heuristic: a deep backlog on few workers batches up."""
+        """A deep backlog on one worker drains one task at a time."""
         items = list(range(40))
         with RemoteExecutor(spawn_workers=1, timeout=120.0) as executor:
             assert executor.map(_square, items) == [i * i for i in items]
 
     def test_exception_inside_a_batch_propagates(self):
-        with RemoteExecutor(spawn_workers=1, timeout=120.0,
-                            batch_size=8) as executor:
+        with RemoteExecutor(spawn_workers=1, timeout=120.0) as executor:
             with pytest.raises(RuntimeError, match="exploded"):
                 executor.map(_boom, [1, 2, 3])
-            # The worker survives the failing batch and keeps serving.
+            # The worker survives the failing tasks and keeps serving.
             assert executor.map(_square, [5]) == [25]
 
-    def test_invalid_batch_size_rejected(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            RemoteExecutor(spawn_workers=0, batch_size=0)
-
     def test_sim_jobs_batched_match_reference(self, reference_results):
-        with RemoteExecutor(spawn_workers=2, timeout=120.0,
-                            batch_size=3) as executor:
+        with RemoteExecutor(spawn_workers=2, timeout=120.0) as executor:
             assert run_jobs(small_jobs(), 2, executor) == reference_results
+
+
+class TestPrivateFleet:
+    """The remote backend's private broker: fail fast, no store traffic."""
+
+    def test_dead_fleet_fails_fast(self):
+        start = time.monotonic()
+        with RemoteExecutor(spawn_workers=2, timeout=60.0) as executor:
+            with pytest.raises(RuntimeError,
+                               match="loopback workers exited"):
+                executor.map(_exit_worker, [1])
+        assert time.monotonic() - start < 30.0
+
+    def test_private_fleet_leaves_the_result_store_alone(
+            self, reference_results):
+        """Every item ships as an opaque task: a warm store is neither
+        read (``reuse="off"`` still computes everything) nor written."""
+        assert run_jobs(small_jobs(), reuse="auto") == reference_results
+        before = result_store.stats.as_dict()
+        with RemoteExecutor(spawn_workers=2, timeout=120.0) as executor:
+            assert run_jobs(small_jobs(), 2, executor, reuse="off") \
+                == reference_results
+        assert result_store.stats.as_dict() == before
 
 
 class TestMakeExecutor:

@@ -171,13 +171,14 @@ class TestWorkerSide:
         thread.join(timeout=5.0)
         listener.close()
 
-    def test_legacy_single_task_framing_still_served(self):
-        """Within a protocol version the old per-task framing works."""
+    def test_unknown_frame_kind_gets_a_failed_outcome(self):
+        """A frame kind the worker does not serve is answered with one
+        failed outcome; the worker then serves the next batch."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.bind(("127.0.0.1", 0))
         listener.listen(1)
         host, port = listener.getsockname()[:2]
-        outcome = {}
+        replies = []
 
         def serve():
             conn, _ = listener.accept()
@@ -186,14 +187,21 @@ class TestWorkerSide:
                 assert hello[0] == "hello"
                 send_message(conn, encode_handshake(
                     ["welcome", {"version": PROTOCOL_VERSION}]))
+                send_message(conn, pickle.dumps(("bogus", None)))
+                replies.append(pickle.loads(recv_message(conn)))
                 send_message(conn, pickle.dumps(
-                    ("task", (len, [1, 2, 3]))))
-                outcome["reply"] = pickle.loads(recv_message(conn))
+                    ("tasks", [pickle.dumps((len, [1, 2, 3]))])))
+                replies.append(pickle.loads(recv_message(conn)))
                 send_message(conn, pickle.dumps(("shutdown", None)))
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
-        assert worker_loop(host, port) == 1
+        assert worker_loop(host, port) == 2
         thread.join(timeout=5.0)
+        assert not thread.is_alive()
         listener.close()
-        assert outcome["reply"] == (True, 3)
+        (kind, outcomes), served = replies
+        assert kind == "results" and len(outcomes) == 1
+        ok, reason = outcomes[0]
+        assert not ok and "unknown frame kind 'bogus'" in reason
+        assert served == ("results", [(True, 3)])
