@@ -273,7 +273,8 @@ def test_checkpoint_throughput(benchmark, tmp_path, monkeypatch):
         capture_s = time.perf_counter() - start
 
         start = time.perf_counter()
-        store.put("bench-prefix", {"state": state})
+        store.put("bench-prefix",
+                  _checkpoint_payload("ICOUNT", warmed_cycles, state))
         store_s = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -315,6 +316,13 @@ def test_checkpoint_throughput(benchmark, tmp_path, monkeypatch):
 
 #: The 4-thread Table 2 mix the construction entries build.
 _MIX4 = ("gzip", "twolf", "bzip2", "mcf")
+
+
+def _checkpoint_payload(policy, warmup_cycles, state):
+    """A fixed-warm-up checkpoint entry, with every field the store
+    requires (the layout ``runner.compute_warmup_checkpoint`` writes)."""
+    return {"policy": policy, "warmup_cycles": warmup_cycles,
+            "warmup_converged": None, "discarded": [], "state": state}
 
 
 def _constructions_per_sec(build, rounds=5, per_round=10):
@@ -360,7 +368,8 @@ def test_checkpoint_restore_speed(benchmark, tmp_path, monkeypatch):
     profiles = [get_profile(b) for b in _MIX4]
     warmed = SMTProcessor(SMTConfig(), profiles, make_policy("DCRA"), seed=1)
     warmed.run(1_000)
-    CheckpointStore().put("bench-restore", {"state": warmed.capture_state()})
+    CheckpointStore().put("bench-restore", _checkpoint_payload(
+        "DCRA", warmed.cycle, warmed.capture_state()))
     # A fresh store serves the entry from disk, as a later process would.
     state = CheckpointStore().require("bench-restore")["state"]
 

@@ -28,6 +28,11 @@ output.
 per run from its interval series (each run then picks the warm-up its
 workload needs instead of sharing one guessed count).
 
+An artefact that raises fails alone: its section reads ``FAILED:
+<type>: <message>`` (traceback on stderr), the other artefacts still
+run, the ``done`` section lists the failed labels and the script exits
+with status 1.
+
 Run:
     python scripts/run_all_experiments.py [output-file] [--jobs N]
         [--executor {serial,process,remote}] [--reps N]
@@ -39,6 +44,7 @@ import dataclasses
 import sys
 import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor, as_completed
 
 from repro.core.sharing import precomputed_table
@@ -105,12 +111,13 @@ def build_artefacts(args, executor):
     return entries
 
 
-def main() -> None:
-    args = parse_args()
+def main(argv=None) -> int:
+    args = parse_args(argv)
     out = open(args.output, "w") if args.output else sys.stdout
     emit_lock = threading.Lock()
     t0 = time.time()
     store_before = dataclasses.replace(result_store.stats)
+    failed = []
 
     def emit_section(label, body):
         with emit_lock:
@@ -118,13 +125,24 @@ def main() -> None:
                   f"{'=' * 70}", file=out, flush=True)
             print(body, file=out, flush=True)
 
+    def emit_outcome(label, outcome):
+        """Emit an artefact from a thunk or a resolved future; a raising
+        artefact is reported in its section instead of aborting the run."""
+        try:
+            body = outcome()
+        except Exception as error:  # noqa: BLE001 - isolated, reported
+            traceback.print_exc()
+            failed.append(label)
+            body = f"FAILED: {type(error).__name__}: {error}"
+        emit_section(label, body)
+
     parallel = args.jobs > 1 or args.executor is not None
     executor = make_executor(args.executor, args.jobs) if parallel else None
     artefacts = build_artefacts(args, executor)
     try:
         if not parallel:
             for label, thunk in artefacts:
-                emit_section(label, thunk())
+                emit_outcome(label, thunk)
         else:
             # Fork/spawn every backend worker from the main thread,
             # before the driver threads exist — forking later, from a
@@ -138,18 +156,22 @@ def main() -> None:
                 futures = {drivers.submit(thunk): label
                            for label, thunk in artefacts}
                 for future in as_completed(futures):
-                    emit_section(futures[future], future.result())
+                    emit_outcome(futures[future], future.result)
     finally:
         if executor is not None:
             executor.close()
 
     stats = result_store.stats
-    emit_section(
-        "done",
-        f"{len(artefacts)} artefacts  [store reuse={args.reuse}: "
-        f"{stats.hits - store_before.hits} result(s) reused, "
-        f"{stats.misses - store_before.misses} computed]")
+    summary = (f"{len(artefacts)} artefacts  [store reuse={args.reuse}: "
+               f"{stats.hits - store_before.hits} result(s) reused, "
+               f"{stats.misses - store_before.misses} computed]")
+    if failed:
+        summary += f"\nFAILED ({len(failed)}): " + "; ".join(failed)
+    emit_section("done", summary)
+    if out is not sys.stdout:
+        out.close()
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

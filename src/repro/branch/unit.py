@@ -20,6 +20,10 @@ from repro.branch.gshare import GsharePredictor
 from repro.branch.ras import ReturnAddressStack
 from repro.isa.instruction import BranchKind, StaticOp
 
+# Bound once: an Enum class attribute read is slow on Python < 3.12.
+_CALL = BranchKind.CALL
+_RETURN = BranchKind.RETURN
+
 
 @dataclass
 class BranchPrediction:
@@ -106,9 +110,9 @@ class BranchUnit:
             op: the branch's static descriptor (carries the true outcome).
         """
         kind = op.branch_kind
-        if kind == BranchKind.RETURN:
+        if kind == _RETURN:
             return self._predict_return(tid, op)
-        if kind == BranchKind.CALL:
+        if kind == _CALL:
             return self._predict_call(tid, op)
         return self._predict_conditional(tid, op)
 

@@ -45,8 +45,10 @@ def classify(slow: bool, active: bool) -> ThreadClass:
     return ThreadClass.FAST_ACTIVE if active else ThreadClass.FAST_INACTIVE
 
 
-#: Row of each FP resource in the tracker's tables (``FP_RESOURCES`` order).
-_FP_ROW = {resource: index for index, resource in enumerate(FP_RESOURCES)}
+#: Row of each FP resource in the tracker's tables (``FP_RESOURCES``
+#: order), indexed by ``Resource`` value; None for integer resources.
+_FP_ROW = tuple(FP_RESOURCES.index(resource) if resource in FP_RESOURCES
+                else None for resource in Resource)
 
 
 class ActivityTracker:
@@ -130,7 +132,7 @@ class ActivityTracker:
 
     def note_use(self, resource: Resource, tid: int) -> None:
         """Record an allocation of ``resource`` by ``tid`` this cycle."""
-        row = _FP_ROW.get(resource)
+        row = _FP_ROW[resource]
         if row is not None:
             self._pending.append((row, tid))
 
@@ -193,14 +195,14 @@ class ActivityTracker:
         Integer resources are always active (the paper tracks activity
         only for floating-point resources).
         """
-        row = _FP_ROW.get(resource)
+        row = _FP_ROW[resource]
         if row is None:
             return True
         return self._now - self._reset[row][tid] < self.window
 
     def counter(self, resource: Resource, tid: int) -> int:
         """Raw counter value (for tests and introspection)."""
-        row = _FP_ROW.get(resource)
+        row = _FP_ROW[resource]
         if row is None:
             raise ValueError(f"{resource.name} has no activity counter")
         return self._counter(self._reset[row][tid])

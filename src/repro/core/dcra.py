@@ -30,19 +30,14 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.classification import ActivityTracker
 from repro.core.sharing import SharingModel
-from repro.isa.instruction import MicroOp, OpClass
-from repro.pipeline.resources import (
-    IQ_RESOURCES,
-    Resource,
-    iq_for_class,
-    reg_for_dest,
-)
+from repro.isa.instruction import MicroOp
+from repro.pipeline.resources import IQ_RESOURCES, Resource
 from repro.policies.base import Policy, icount_order
 
-#: Op classes queued in the FP issue queue: with FP destinations, the
-#: only renames the activity counters need to hear about.
-_FP_QUEUE_CLASSES = frozenset(op_class for op_class in OpClass
-                              if iq_for_class(op_class) is Resource.IQ_FP)
+# The FP resources as plain ints, compared with ``StaticOp.iq``/``reg``
+# on every rename (an Enum class attribute read is slow on Python < 3.12).
+_IQ_FP = int(Resource.IQ_FP)
+_REG_FP = int(Resource.REG_FP)
 
 #: Rename-table cap of a resource a thread is not limited on.
 _NO_CAP = sys.maxsize
@@ -123,7 +118,7 @@ class DcraPolicy(Policy):
         #: The fetch gate: (usage row, tid, cap) per slow-active pair.
         self._checks: List[tuple] = []
         #: Per thread, None (never blocked at rename) or its limits:
-        #: (usage row, cap) per op class, then per ``dest_is_fp``.
+        #: (usage row, cap) per resource, indexed by ``Resource`` value.
         self._rename_limits: List[Optional[tuple]] = [None] * num
         #: ROB occupancy when the fetch gate last ran; None while the
         #: gate must run again before any cycle may be skipped.
@@ -241,14 +236,9 @@ class DcraPolicy(Policy):
             # Only slow threads are blocked at rename, and only on the
             # resources they are active for (the ones in ``caps``).
             for tid in self._slow_tids:
-                limit = {resource: (per_thread[resource],
-                                    caps.get((resource, tid), _NO_CAP))
-                         for resource in Resource}
-                queues = [None] * len(OpClass)
-                for op_class in OpClass:
-                    queues[op_class] = limit[iq_for_class(op_class)]
-                tables[tid] = (queues, (limit[reg_for_dest(False)],
-                                        limit[reg_for_dest(True)]))
+                tables[tid] = [(per_thread[resource],
+                                caps.get((resource, tid), _NO_CAP))
+                               for resource in Resource]
         self._rename_limits = tables
 
     # -- control ---------------------------------------------------------------
@@ -264,15 +254,15 @@ class DcraPolicy(Policy):
         limits = self._rename_limits[tid]
         if limits is None:
             return True
-        queues, registers = limits
+        static = op.static
         # usage >= cap: allocating one more entry would exceed the cap
         # (same boundary as the fetch gate in begin_cycle).
-        usage, cap = queues[op.op_class]
+        usage, cap = limits[static.iq]
         if usage[tid] >= cap:
             return False
-        static = op.static
-        if static.has_dest:
-            usage, cap = registers[static.dest_is_fp]
+        reg = static.reg
+        if reg >= 0:
+            usage, cap = limits[reg]
             return usage[tid] < cap
         return True
 
@@ -292,11 +282,11 @@ class DcraPolicy(Policy):
 
     def on_rename(self, tid: int, op: MicroOp) -> None:
         # Feed the activity counters, which exist for FP resources only.
-        if op.op_class in _FP_QUEUE_CLASSES:
-            self.activity.note_use(Resource.IQ_FP, tid)
         static = op.static
-        if static.has_dest and static.dest_is_fp:
-            self.activity.note_use(Resource.REG_FP, tid)
+        if static.iq == _IQ_FP:
+            self.activity.note_use(_IQ_FP, tid)
+        if static.reg == _REG_FP:
+            self.activity.note_use(_REG_FP, tid)
 
     def end_cycle(self, cycle: int) -> None:
         self.activity.tick()

@@ -45,6 +45,14 @@ class BranchKind(enum.IntEnum):
 #: Op classes that allocate a destination physical register at rename.
 _DEST_CLASSES = (OpClass.INT_ALU, OpClass.FP_ALU, OpClass.LOAD)
 
+#: The one op-to-resource mapping, as plain ints: values of
+#: :class:`repro.pipeline.resources.Resource` (IQ_INT 0, IQ_FP 1,
+#: IQ_LS 2, REG_INT 3, REG_FP 4).  The issue queue of each op class,
+#: indexed by class value, is also its execution-unit group.
+IQ_FOR_CLASS = (0, 1, 2, 2, 0)
+#: The rename-register pool a destination allocates, by ``dest_is_fp``.
+REG_FOR_DEST = (3, 4)
+
 
 def needs_dest_register(op_class: OpClass) -> bool:
     """Return True if this op class writes a destination register.
@@ -78,6 +86,10 @@ class StaticOp:
             are always taken.
         target: actual target address for taken branches.
         latency: base execution latency in cycles (loads add memory time).
+        iq: the issue queue (``Resource`` value) the op occupies, which
+            is also its execution-unit group.
+        reg: the rename pool (``Resource`` value) its destination
+            allocates, or -1 for ops without a destination.
     """
 
     __slots__ = (
@@ -91,6 +103,8 @@ class StaticOp:
         "target",
         "latency",
         "has_dest",
+        "iq",
+        "reg",
     )
 
     def __init__(
@@ -116,7 +130,9 @@ class StaticOp:
         self.latency = latency
         # Precomputed at construction: read once per rename/issue of every
         # dynamic instance, which makes a property too expensive here.
-        self.has_dest = op_class in _DEST_CLASSES
+        self.has_dest = has_dest = op_class in _DEST_CLASSES
+        self.iq = IQ_FOR_CLASS[op_class]
+        self.reg = REG_FOR_DEST[dest_is_fp] if has_dest else -1
 
     @property
     def is_mem(self) -> bool:

@@ -194,10 +194,13 @@ class MemoryHierarchy:
             waiter: callback invoked with the fill cycle when a miss
                 completes; not called for hits (caller schedules those).
         """
+        # AccessResult is built positionally (keyword calls cost about
+        # twice as much on Python 3.11): complete_cycle, l1_miss,
+        # l2_miss, l2_detect_cycle, tlb_miss, line_addr, retry.
         stats = self.thread_stats[tid]
         stats.l1d_accesses += 1
         if self.perfect_dl1:
-            return AccessResult(complete_cycle=cycle + self.l1_latency)
+            return AccessResult(cycle + self.l1_latency)
 
         tlb_extra = 0
         tlb_miss = not self.dtlb.access(addr)
@@ -207,22 +210,18 @@ class MemoryHierarchy:
 
         line = self.l1d.line_address(addr)
         if self.l1d.lookup(addr):
-            return AccessResult(
-                complete_cycle=cycle + self.l1_latency + tlb_extra,
-                tlb_miss=tlb_miss, line_addr=line,
-            )
+            return AccessResult(cycle + self.l1_latency + tlb_extra, False,
+                                False, None, tlb_miss, line)
 
         stats.l1d_misses += 1
         in_flight = self.mshrs.lookup(line)
         if in_flight is not None:
             self.mshrs.merge(in_flight, waiter)
+            is_l2_miss = in_flight.is_l2_miss
             return AccessResult(
-                complete_cycle=None, l1_miss=True,
-                l2_miss=in_flight.is_l2_miss, tlb_miss=tlb_miss,
-                l2_detect_cycle=(cycle + self.l2_latency
-                                 if in_flight.is_l2_miss else None),
-                line_addr=line,
-            )
+                None, True, is_l2_miss,
+                cycle + self.l2_latency if is_l2_miss else None,
+                tlb_miss, line)
 
         if self.mshrs.full():
             # Structural hazard: the issue stage retries next cycle.
@@ -230,7 +229,7 @@ class MemoryHierarchy:
             stats.l1d_misses -= 1
             if tlb_miss:
                 stats.tlb_misses -= 1
-            return AccessResult(complete_cycle=None, retry=True, line_addr=line)
+            return AccessResult(None, False, False, None, False, line, True)
 
         stats.l2_data_accesses += 1
         l2_hit = self.l2.lookup(addr)
@@ -238,21 +237,15 @@ class MemoryHierarchy:
             fill = cycle + self.l1_latency + self.l2_latency + tlb_extra
             entry = self.mshrs.allocate(line, fill, False, tid)
             entry.waiters.append(waiter)
-            return AccessResult(
-                complete_cycle=None, l1_miss=True, tlb_miss=tlb_miss,
-                line_addr=line,
-            )
+            return AccessResult(None, True, False, None, tlb_miss, line)
 
         stats.l2_data_misses += 1
         fill = (cycle + self.l1_latency + self.l2_latency
                 + self.memory_latency + tlb_extra)
         entry = self.mshrs.allocate(line, fill, True, tid)
         entry.waiters.append(waiter)
-        return AccessResult(
-            complete_cycle=None, l1_miss=True, l2_miss=True,
-            l2_detect_cycle=cycle + self.l2_latency, tlb_miss=tlb_miss,
-            line_addr=line,
-        )
+        return AccessResult(None, True, True, cycle + self.l2_latency,
+                            tlb_miss, line)
 
     # -- stores --------------------------------------------------------------
 

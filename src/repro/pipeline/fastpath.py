@@ -69,8 +69,8 @@ def quiescence_horizon(processor, cycle: int, end: int):
         horizon = end
     elif horizon <= cycle:
         return not_quiescent
-    ready = processor._ready
-    if ready["int"] or ready["fp"] or ready["ls"]:
+    ready_int, ready_fp, ready_ls = processor._ready
+    if ready_int or ready_fp or ready_ls:
         return not_quiescent
     threads = processor.threads
     for thread in threads:

@@ -33,25 +33,20 @@ from repro.isa.instruction import (
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.pipeline.config import SMTConfig
 from repro.pipeline.fastpath import _PRUNE_INTERVAL, run_fast
-from repro.pipeline.resources import (
-    SharedResources,
-    iq_for_class,
-    reg_for_dest,
-)
+from repro.pipeline.resources import SharedResources
 from repro.pipeline.thread import ThreadContext
 from repro.trace.generator import SyntheticTraceGenerator, TraceBuffer
 from repro.trace.profiles import BenchmarkProfile
 
-#: Execution unit groups and the op classes they serve.
+#: Execution unit groups by ``StaticOp.iq`` value: the snapshot's
+#: ``ready`` keys.
 _UNIT_GROUPS = ("int", "fp", "ls")
 
-_GROUP_FOR_CLASS = {
-    OpClass.INT_ALU: "int",
-    OpClass.BRANCH: "int",
-    OpClass.FP_ALU: "fp",
-    OpClass.LOAD: "ls",
-    OpClass.STORE: "ls",
-}
+# Enum members bound once: an Enum class attribute read costs a slow
+# metaclass ``__getattr__`` lookup on Python < 3.12.
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
 
 
 class SMTProcessor:
@@ -125,14 +120,11 @@ class SMTProcessor:
         self._seq = 0
         self._completions: Dict[int, List[MicroOp]] = {}
         self._l2_detect_events: Dict[int, List[MicroOp]] = {}
-        #: Ready instructions per unit group, as min-heaps of (seq, op) so
-        #: the issue stage pops oldest-first without re-sorting per cycle.
-        self._ready: Dict[str, List[Tuple[int, MicroOp]]] = {
-            g: [] for g in _UNIT_GROUPS
-        }
-        self._unit_caps = {
-            "int": config.int_units, "fp": config.fp_units, "ls": config.ls_units,
-        }
+        #: Ready instructions per unit group (indexed by ``StaticOp.iq``),
+        #: as min-heaps of (seq, op) so the issue stage pops oldest-first
+        #: without re-sorting per cycle.
+        self._ready: List[List[Tuple[int, MicroOp]]] = [[], [], []]
+        self._unit_caps = [config.int_units, config.fp_units, config.ls_units]
         #: Optional per-cycle probes (e.g. phase sampling for Table 5);
         #: each is called with the processor at the end of every cycle.
         self.cycle_hooks: List = []
@@ -423,9 +415,8 @@ class SMTProcessor:
         # A sorted seq list is a valid min-heap with the same pop order
         # (seqs are unique); only ops still waiting to issue are kept.
         ready = {
-            group: sorted(seq for seq, op in self._ready[group]
-                          if op.status == ST_IN_QUEUE)
-            for group in _UNIT_GROUPS
+            group: sorted(seq for seq, op in heap if op.status == ST_IN_QUEUE)
+            for group, heap in zip(_UNIT_GROUPS, self._ready)
         }
         return {
             "version": SNAPSHOT_VERSION,
@@ -518,10 +509,10 @@ class SMTProcessor:
             cycle: [ops_by_seq[seq] for seq in seqs]
             for cycle, seqs in state["l2_detections"]
         }
-        self._ready = {
-            group: [(seq, ops_by_seq[seq]) for seq in state["ready"][group]]
+        self._ready = [
+            [(seq, ops_by_seq[seq]) for seq in state["ready"][group]]
             for group in _UNIT_GROUPS
-        }
+        ]
         self.resources.restore_state(state["resources"])
         self.hierarchy.restore_state(
             state["hierarchy"],
@@ -597,7 +588,6 @@ class SMTProcessor:
         if completions is None:
             return
         ready = self._ready
-        group_for_class = _GROUP_FOR_CLASS
         for op in completions:
             if op.status == ST_SQUASHED:
                 continue
@@ -606,7 +596,7 @@ class SMTProcessor:
             for consumer in op.consumers:
                 consumer.deps_left -= 1
                 if consumer.deps_left == 0 and consumer.status == ST_IN_QUEUE:
-                    heappush(ready[group_for_class[consumer.op_class]],
+                    heappush(ready[consumer.static.iq],
                              (consumer.seq, consumer))
             op.consumers.clear()
             if op.mispredicted:
@@ -656,10 +646,10 @@ class SMTProcessor:
         resources = self.resources
         resources.release_rob(op.tid)
         if op.iq_allocated:
-            resources.release(iq_for_class(op.op_class), op.tid)
+            resources.release(op.static.iq, op.tid)
             op.iq_allocated = False
         if op.dest_allocated:
-            resources.release(reg_for_dest(op.static.dest_is_fp), op.tid)
+            resources.release(op.static.reg, op.tid)
             op.dest_allocated = False
         if op.waiting_line >= 0:
             thread.pending_l1d -= 1
@@ -693,7 +683,7 @@ class SMTProcessor:
         # Inlined release counterpart of the _do_rename fast path; the
         # dest_allocated flag guarantees the register was acquired.
         if op.dest_allocated:
-            reg = reg_for_dest(op.static.dest_is_fp)
+            reg = op.static.reg
             resources.used[reg] -= 1
             resources.per_thread[reg][tid] -= 1
             op.dest_allocated = False
@@ -717,11 +707,9 @@ class SMTProcessor:
         as the sorted-list implementation kept scanning younger ops.
         """
         budget = self.config.issue_width
-        for group in _UNIT_GROUPS:
-            heap = self._ready[group]
+        for heap, cap in zip(self._ready, self._unit_caps):
             if not heap:
                 continue
-            cap = self._unit_caps[group]
             issued = 0
             deferred = None
             while heap and issued < cap and budget > 0:
@@ -747,7 +735,7 @@ class SMTProcessor:
         """Issue one op; returns False on a structural retry (MSHRs full)."""
         op_class = op.op_class
         thread = self.threads[op.tid]
-        if op_class == OpClass.LOAD:
+        if op_class == _LOAD:
             result = self.hierarchy.access_load(
                 op.tid, op.static.mem_addr, cycle, self._make_waiter(op)
             )
@@ -774,7 +762,7 @@ class SMTProcessor:
                         max(result.l2_detect_cycle, cycle + 1), []
                     ).append(op)
             return True
-        if op_class == OpClass.STORE:
+        if op_class == _STORE:
             self.hierarchy.access_store(op.tid, op.static.mem_addr, cycle)
             self._finish_issue(op, cycle)
             self._completions.setdefault(cycle + 1, []).append(op)
@@ -790,7 +778,7 @@ class SMTProcessor:
         if op.iq_allocated:
             # Inlined release (see _do_rename); iq_allocated guards it.
             resources = self.resources
-            iq = iq_for_class(op.op_class)
+            iq = op.static.iq
             resources.used[iq] -= 1
             resources.per_thread[iq][op.tid] -= 1
             op.iq_allocated = False
@@ -855,15 +843,12 @@ class SMTProcessor:
             return False
         totals = resources.totals
         used = resources.used
-        iq = iq_for_class(op.op_class)
+        static = op.static
+        iq = static.iq
         if used[iq] >= totals[iq]:
             return False
-        static = op.static
-        if static.has_dest:
-            reg = reg_for_dest(static.dest_is_fp)
-            if used[reg] >= totals[reg]:
-                return False
-        return True
+        reg = static.reg
+        return reg < 0 or used[reg] < totals[reg]
 
     def _do_rename(self, op: MicroOp, cycle: int) -> None:
         tid = op.tid
@@ -877,12 +862,12 @@ class SMTProcessor:
         resources.rob_per_thread[tid] += 1
         used = resources.used
         per_thread = resources.per_thread
-        iq = iq_for_class(op.op_class)
+        iq = static.iq
         used[iq] += 1
         per_thread[iq][tid] += 1
         op.iq_allocated = True
-        if static.has_dest:
-            reg = reg_for_dest(static.dest_is_fp)
+        reg = static.reg
+        if reg >= 0:
             used[reg] += 1
             per_thread[reg][tid] += 1
             op.dest_allocated = True
@@ -902,7 +887,7 @@ class SMTProcessor:
         op.status = ST_IN_QUEUE
         op.rename_cycle = cycle
         if op.deps_left == 0:
-            heappush(self._ready[_GROUP_FOR_CLASS[op.op_class]], (op.seq, op))
+            heappush(self._ready[iq], (op.seq, op))
         if self._policy_on_rename is not None:
             self._policy_on_rename(tid, op)
 
@@ -964,7 +949,7 @@ class SMTProcessor:
             fetch_queue.append(op)
             fetched += 1
             stats.fetched += 1
-            if static.op_class != OpClass.BRANCH:
+            if static.op_class != _BRANCH:
                 continue
 
             stats.branches += 1

@@ -11,9 +11,9 @@ at commit.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List
+from typing import List
 
-from repro.isa.instruction import OpClass
+from repro.isa.instruction import IQ_FOR_CLASS, REG_FOR_DEST, OpClass
 from repro.pipeline.config import SMTConfig
 
 
@@ -37,27 +37,27 @@ REG_RESOURCES = (Resource.REG_INT, Resource.REG_FP)
 #: (Section 3.1.2: integer resources are used by every thread).
 FP_RESOURCES = (Resource.IQ_FP, Resource.REG_FP)
 
-_IQ_FOR_CLASS = {
-    OpClass.INT_ALU: Resource.IQ_INT,
-    OpClass.BRANCH: Resource.IQ_INT,
-    OpClass.FP_ALU: Resource.IQ_FP,
-    OpClass.LOAD: Resource.IQ_LS,
-    OpClass.STORE: Resource.IQ_LS,
-}
+#: Members by value: maps a plain-int index back to its Resource.
+_RESOURCES = tuple(Resource)
 
 
 def iq_for_class(op_class: OpClass) -> Resource:
-    """Issue-queue resource an op class occupies."""
-    return _IQ_FOR_CLASS[op_class]
+    """Issue-queue resource an op class occupies (``StaticOp.iq``)."""
+    return _RESOURCES[IQ_FOR_CLASS[op_class]]
 
 
 def reg_for_dest(dest_is_fp: bool) -> Resource:
-    """Register resource a destination allocates."""
-    return Resource.REG_FP if dest_is_fp else Resource.REG_INT
+    """Register resource a destination allocates (``StaticOp.reg``)."""
+    return _RESOURCES[REG_FOR_DEST[dest_is_fp]]
 
 
 class SharedResources:
     """Occupancy accounting for all shared pools.
+
+    ``totals``, ``used`` and ``per_thread`` are lists indexed by
+    :class:`Resource` value, so the pipeline indexes them with the plain
+    ints ``StaticOp.iq``/``StaticOp.reg`` (a ``Resource`` member indexes
+    them too).
 
     Args:
         config: processor configuration (pool sizes).
@@ -67,17 +67,17 @@ class SharedResources:
 
     def __init__(self, config: SMTConfig, num_threads: int) -> None:
         self.num_threads = num_threads
-        self.totals: Dict[Resource, int] = {
-            Resource.IQ_INT: config.int_iq_size,
-            Resource.IQ_FP: config.fp_iq_size,
-            Resource.IQ_LS: config.ls_iq_size,
-            Resource.REG_INT: config.rename_registers("int", num_threads),
-            Resource.REG_FP: config.rename_registers("fp", num_threads),
-        }
-        self.used: Dict[Resource, int] = {r: 0 for r in Resource}
-        self.per_thread: Dict[Resource, List[int]] = {
-            r: [0] * num_threads for r in Resource
-        }
+        self.totals: List[int] = [
+            config.int_iq_size,
+            config.fp_iq_size,
+            config.ls_iq_size,
+            config.rename_registers("int", num_threads),
+            config.rename_registers("fp", num_threads),
+        ]
+        self.used: List[int] = [0] * len(Resource)
+        self.per_thread: List[List[int]] = [
+            [0] * num_threads for _ in Resource
+        ]
         self.rob_size = config.rob_size
         self.rob_used = 0
         self.rob_per_thread = [0] * num_threads
@@ -98,18 +98,16 @@ class SharedResources:
         captured; rows are indexed by :class:`Resource` value order.
         """
         return {
-            "used": [self.used[resource] for resource in Resource],
-            "per_thread": [list(self.per_thread[resource])
-                           for resource in Resource],
+            "used": list(self.used),
+            "per_thread": [list(row) for row in self.per_thread],
             "rob_used": self.rob_used,
             "rob_per_thread": list(self.rob_per_thread),
         }
 
     def restore_state(self, state: dict) -> None:
         """Overwrite occupancy counters from :meth:`capture_state`."""
-        for resource in Resource:
-            self.used[resource] = state["used"][resource]
-            self.per_thread[resource] = list(state["per_thread"][resource])
+        self.used[:] = state["used"]
+        self.per_thread[:] = [list(row) for row in state["per_thread"]]
         self.rob_used = state["rob_used"]
         self.rob_per_thread = list(state["rob_per_thread"])
 
@@ -126,14 +124,15 @@ class SharedResources:
     def acquire(self, resource: Resource, tid: int) -> None:
         """Allocate one entry; callers must have checked :meth:`free`."""
         if self.used[resource] >= self.totals[resource]:
-            raise RuntimeError(f"{resource.name} over-allocated")
+            raise RuntimeError(f"{_RESOURCES[resource].name} over-allocated")
         self.used[resource] += 1
         self.per_thread[resource][tid] += 1
 
     def release(self, resource: Resource, tid: int) -> None:
         """Release one entry held by ``tid``."""
         if self.per_thread[resource][tid] <= 0:
-            raise RuntimeError(f"{resource.name} underflow for thread {tid}")
+            raise RuntimeError(
+                f"{_RESOURCES[resource].name} underflow for thread {tid}")
         self.used[resource] -= 1
         self.per_thread[resource][tid] -= 1
 
@@ -170,16 +169,30 @@ class SharedResources:
                 + per[Resource.IQ_LS][tid])
 
     def check_consistency(self) -> None:
-        """Assert per-thread counters sum to the global counters.
+        """Assert the occupancy counters are consistent and in bounds.
 
-        Used by tests and debug runs; O(resources * threads).
+        Per-thread counters must sum to the global ones, and every
+        counter must lie within its pool: a sum check alone misses an
+        over-allocation through the pipeline's inlined (unchecked)
+        rename path and a negative count both sides share.  Used by
+        tests and debug runs; O(resources * threads).
         """
         for resource in Resource:
-            total = sum(self.per_thread[resource])
-            if total != self.used[resource]:
+            row = self.per_thread[resource]
+            used = self.used[resource]
+            if sum(row) != used:
                 raise AssertionError(
-                    f"{resource.name}: per-thread sum {total} != "
-                    f"global {self.used[resource]}"
-                )
-        if sum(self.rob_per_thread) != self.rob_used:
+                    f"{resource.name}: per-thread sum {sum(row)} != "
+                    f"global {used}")
+            if not 0 <= used <= self.totals[resource] or min(row) < 0:
+                raise AssertionError(
+                    f"{resource.name}: {used} of {self.totals[resource]} "
+                    f"in use, per thread {row}")
+        rob = self.rob_per_thread
+        if sum(rob) != self.rob_used:
             raise AssertionError("ROB per-thread sum mismatch")
+        if not 0 <= self.rob_used <= self.rob_size or min(rob) < 0 \
+                or max(rob) > self.rob_cap_per_thread:
+            raise AssertionError(
+                f"ROB: {self.rob_used} of {self.rob_size} in use, per "
+                f"thread {rob} (cap {self.rob_cap_per_thread})")

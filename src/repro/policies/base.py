@@ -16,12 +16,16 @@ from __future__ import annotations
 
 from typing import List, Optional, TYPE_CHECKING
 
-from repro.pipeline.resources import Resource
+from repro.pipeline.resources import IQ_RESOURCES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.isa.instruction import MicroOp
     from repro.mem.hierarchy import AccessResult
     from repro.pipeline.processor import SMTProcessor
+
+# Plain-int rows of the occupancy lists, bound once: an Enum class
+# attribute read costs a metaclass ``__getattr__`` call on Python < 3.12.
+_IQ_INT, _IQ_FP, _IQ_LS = (int(resource) for resource in IQ_RESOURCES)
 
 
 def icount_order(processor: "SMTProcessor") -> List[int]:
@@ -35,9 +39,9 @@ def icount_order(processor: "SMTProcessor") -> List[int]:
     if processor.num_threads == 1:
         return [0]  # a 1-element sort: the ranking is the identity
     per = processor.resources.per_thread
-    int_row = per[Resource.IQ_INT]
-    fp_row = per[Resource.IQ_FP]
-    ls_row = per[Resource.IQ_LS]
+    int_row = per[_IQ_INT]
+    fp_row = per[_IQ_FP]
+    ls_row = per[_IQ_LS]
     ranked = sorted(
         (len(thread.fetch_queue) + int_row[tid] + fp_row[tid] + ls_row[tid],
          tid)

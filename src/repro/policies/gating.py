@@ -21,6 +21,9 @@ from repro.isa.instruction import MicroOp, OpClass, ST_SQUASHED
 from repro.mem.hierarchy import AccessResult
 from repro.policies.base import Policy, icount_order
 
+# Bound once: an Enum class attribute read is slow on Python < 3.12.
+_LOAD = OpClass.LOAD
+
 
 class DataGatingPolicy(Policy):
     """Fetch-stall threads with any pending L1 data-cache miss."""
@@ -101,7 +104,7 @@ class PredictiveDataGatingPolicy(Policy):
         return order
 
     def on_rename(self, tid: int, op: MicroOp) -> None:
-        if op.op_class != OpClass.LOAD:
+        if op.op_class != _LOAD:
             return
         self.predictions += 1
         if self._table[self._index(op.static.pc)] >= self.predict_threshold:

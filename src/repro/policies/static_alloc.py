@@ -9,10 +9,10 @@ paper's dynamic model fixes — wastes any entries their owner cannot use.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import List
 
 from repro.isa.instruction import MicroOp
-from repro.pipeline.resources import Resource, iq_for_class, reg_for_dest
+from repro.pipeline.resources import Resource
 from repro.policies.base import Policy
 
 
@@ -26,13 +26,14 @@ class StaticAllocationPolicy(Policy):
 
     def __init__(self) -> None:
         super().__init__()
-        self._caps: Dict[Resource, int] = {}
+        #: Per-thread cap of each resource, indexed by ``Resource`` value.
+        self._caps: List[int] = []
         self._rob_cap = 0
 
     def on_attach(self) -> None:
         resources = self.processor.resources
         num = self.processor.num_threads
-        self._caps = {r: resources.totals[r] // num for r in Resource}
+        self._caps = [total // num for total in resources.totals]
         self._rob_cap = resources.rob_size // num
 
     def cap(self, resource: Resource) -> int:
@@ -43,11 +44,11 @@ class StaticAllocationPolicy(Policy):
         resources = self.processor.resources
         if resources.rob_per_thread[tid] >= self._rob_cap:
             return False
-        iq = iq_for_class(op.op_class)
-        if resources.usage(iq, tid) >= self._caps[iq]:
+        per_thread = resources.per_thread
+        caps = self._caps
+        static = op.static
+        iq = static.iq
+        if per_thread[iq][tid] >= caps[iq]:
             return False
-        if op.static.has_dest:
-            reg = reg_for_dest(op.static.dest_is_fp)
-            if resources.usage(reg, tid) >= self._caps[reg]:
-                return False
-        return True
+        reg = static.reg
+        return reg < 0 or per_thread[reg][tid] < caps[reg]

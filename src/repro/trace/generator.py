@@ -52,6 +52,18 @@ _COLD_BURST_LEN = 4
 
 _FP_LATENCY = 4
 
+# Enum members bound once: an Enum class attribute read costs a slow
+# metaclass ``__getattr__`` lookup on Python < 3.12, and every op
+# generated compares its class against these.
+_INT_ALU = OpClass.INT_ALU
+_FP_ALU = OpClass.FP_ALU
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_NO_BRANCH = BranchKind.NONE
+_COND = BranchKind.COND
+_CALL = BranchKind.CALL
+_RETURN = BranchKind.RETURN
+
 
 class SyntheticTraceGenerator:
     """Deterministic instruction stream for one thread.
@@ -425,32 +437,39 @@ class SyntheticTraceGenerator:
                 op_class = self._draw_class(rng)
                 pc_class[pc] = op_class
 
-        if op_class == OpClass.INT_ALU:
+        # StaticOp is built positionally (keyword calls cost about twice
+        # as much on Python 3.11): op_class, pc, dest_is_fp, src_dists,
+        # mem_addr, branch_kind, taken, target, latency.
+        if op_class == _INT_ALU:
             srcs = self._sources(rng, 1 + (rng.random() < p.two_src_prob))
             if not wrong_path:
                 self._since_load += 1
-            return StaticOp(op_class, pc, False, srcs, latency=1)
+            return StaticOp(op_class, pc, False, srcs, None, _NO_BRANCH,
+                            False, 0, 1)
 
-        if op_class == OpClass.FP_ALU:
+        if op_class == _FP_ALU:
             srcs = self._sources(rng, 1 + (rng.random() < p.two_src_prob))
             if not wrong_path:
                 self._since_load += 1
-            return StaticOp(op_class, pc, True, srcs, latency=_FP_LATENCY)
+            return StaticOp(op_class, pc, True, srcs, None, _NO_BRANCH,
+                            False, 0, _FP_LATENCY)
 
-        if op_class == OpClass.LOAD:
+        if op_class == _LOAD:
             addr = self._mem_address(rng, wrong_path)
             srcs = self._sources(rng, 1)
             if not wrong_path:
                 self._since_load = 0
             dest_fp = rng.random() < p.fp_load_frac
-            return StaticOp(op_class, pc, dest_fp, srcs, mem_addr=addr, latency=1)
+            return StaticOp(op_class, pc, dest_fp, srcs, addr, _NO_BRANCH,
+                            False, 0, 1)
 
-        if op_class == OpClass.STORE:
+        if op_class == _STORE:
             addr = self._mem_address(rng, wrong_path)
             srcs = self._sources(rng, 2)
             if not wrong_path:
                 self._since_load += 1
-            return StaticOp(op_class, pc, False, srcs, mem_addr=addr, latency=1)
+            return StaticOp(op_class, pc, False, srcs, addr, _NO_BRANCH,
+                            False, 0, 1)
 
         # Branch: conditional, call, or return.
         if not wrong_path:
@@ -458,29 +477,26 @@ class SyntheticTraceGenerator:
         srcs = self._sources(rng, 1)
         if wrong_path:
             # Wrong-path control flow never redirects the real front end.
-            return StaticOp(op_class, pc, False, srcs,
-                            branch_kind=BranchKind.COND, taken=False, latency=1)
+            return StaticOp(op_class, pc, False, srcs, None, _COND,
+                            False, 0, 1)
         if self._call_stack and rng.random() < p.call_prob:
             target = self._call_stack.pop()
             self._pc = target
-            return StaticOp(op_class, pc, False, srcs,
-                            branch_kind=BranchKind.RETURN, taken=True,
-                            target=target, latency=1)
+            return StaticOp(op_class, pc, False, srcs, None, _RETURN,
+                            True, target, 1)
         if len(self._call_stack) < _MAX_CALL_DEPTH and rng.random() < p.call_prob:
             self._call_stack.append(pc + 4)
             target = self._site_target(pc, rng)
             self._pc = target
-            return StaticOp(op_class, pc, False, srcs,
-                            branch_kind=BranchKind.CALL, taken=True,
-                            target=target, latency=1)
+            return StaticOp(op_class, pc, False, srcs, None, _CALL,
+                            True, target, 1)
         bias = self._branch_site_bias(pc, rng)
         taken = rng.random() < bias
         target = self._site_target(pc, rng) if taken else pc + 4
         if taken:
             self._pc = target
-        return StaticOp(op_class, pc, False, srcs,
-                        branch_kind=BranchKind.COND, taken=taken,
-                        target=target, latency=1)
+        return StaticOp(op_class, pc, False, srcs, None, _COND,
+                        taken, target, 1)
 
 
 class TraceBuffer:

@@ -6,9 +6,12 @@ from repro.isa.instruction import (
     OpClass,
     ST_FETCHED,
     StaticOp,
+    decode_static,
+    encode_static,
     is_branch,
     needs_dest_register,
 )
+from repro.pipeline.resources import iq_for_class, reg_for_dest
 
 
 class TestOpClassification:
@@ -32,6 +35,17 @@ class TestStaticOp:
         for op_class in OpClass:
             op = StaticOp(op_class, pc=0x1000)
             assert op.has_dest == needs_dest_register(op_class)
+
+    def test_resource_indices_match_helpers(self):
+        """``iq``/``reg`` are derived, so a snapshot round trip keeps them."""
+        for op_class in OpClass:
+            for dest_is_fp in (False, True):
+                op = StaticOp(op_class, 0x1000, dest_is_fp)
+                for each in (op, decode_static(encode_static(op))):
+                    assert each.iq == iq_for_class(op_class)
+                    assert each.reg == (reg_for_dest(dest_is_fp)
+                                        if each.has_dest else -1)
+                    assert type(each.iq) is int and type(each.reg) is int
 
     def test_is_mem(self):
         assert StaticOp(OpClass.LOAD, 0, mem_addr=64).is_mem

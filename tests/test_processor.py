@@ -118,7 +118,7 @@ class TestResourceInvariants:
             processor.run(150)
             processor.resources.check_consistency()
             resources = processor.resources
-            for resource, total in resources.totals.items():
+            for resource, total in enumerate(resources.totals):
                 assert 0 <= resources.used[resource] <= total
             assert 0 <= resources.rob_used <= resources.rob_size
 

@@ -126,3 +126,28 @@ class TestViews:
         resources.used[Resource.REG_INT] = 5
         with pytest.raises(AssertionError):
             resources.check_consistency()
+
+    @pytest.mark.parametrize("resource,count", [
+        (Resource.REG_FP, 289),   # one past the 288-entry pool
+        (Resource.REG_FP, -1),    # a release without its acquire
+        (Resource.IQ_LS, 81),
+    ])
+    def test_consistency_check_detects_shared_corruption(self, resource,
+                                                         count):
+        """Both sides corrupted alike: the sums agree, the bounds do not
+        (what the inlined rename/commit counter updates could cause)."""
+        resources = make_resources()
+        resources.used[resource] = count
+        resources.per_thread[resource][1] = count
+        with pytest.raises(AssertionError, match=resource.name):
+            resources.check_consistency()
+
+    def test_consistency_check_detects_rob_corruption(self):
+        resources = SharedResources(SMTConfig(rob_size=8,
+                                              rob_partitioned=True), 2)
+        resources.rob_used = resources.rob_per_thread[0] = 5
+        with pytest.raises(AssertionError, match="ROB"):
+            resources.check_consistency()
+        resources.rob_used = resources.rob_per_thread[0] = -1
+        with pytest.raises(AssertionError, match="ROB"):
+            resources.check_consistency()
