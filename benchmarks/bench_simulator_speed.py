@@ -165,15 +165,22 @@ def test_reps8_fanout_speed(benchmark, benchmarks, policy, memory_latency,
 def test_interval_mode_overhead(benchmark):
     """Chunked runs must cost <5% over monolithic at 5000-cycle intervals.
 
-    Measures the same 4-thread MIX configuration both ways (min of three
-    timings each, interleaved to share cache/frequency state) and records
-    the overhead percentage in BENCH_speed.json — the acceptance number
-    for the interval refactor.
+    Times the same 4-thread MIX configuration both ways in alternating
+    pairs, the second pair of each block in swapped order (monolithic,
+    interval, interval, monolithic, then the reverse), and records the
+    median and interquartile range (IQR) of the per-block overhead in
+    BENCH_speed.json — the acceptance number for the interval refactor.
+    Summing each side over its block cancels a host-speed drift that is
+    linear across the block.  One ~0.5 s timing on a shared host moves
+    by ten percent and more, so the test fails only when the median
+    overhead exceeds both 5% and the IQR of the blocks it came from.
     """
+    import statistics
     import time
 
     interval_cycles = 5_000
     total_cycles = 20_000
+    blocks = 7
     benchmarks_mix = ("gzip", "twolf", "bzip2", "mcf")
 
     def build():
@@ -181,44 +188,65 @@ def test_interval_mode_overhead(benchmark):
                             [get_profile(b) for b in benchmarks_mix],
                             make_policy("ICOUNT"), seed=1)
 
+    def monolithic():
+        processor = build()
+        start = time.perf_counter()
+        processor.run(total_cycles)
+        return time.perf_counter() - start, processor, None
+
+    def chunked():
+        processor = build()
+        start = time.perf_counter()
+        snapshots = list(processor.run_intervals(
+            interval_cycles, total_cycles=total_cycles))
+        return time.perf_counter() - start, processor, snapshots
+
     def measure():
-        mono_times, interval_times = [], []
-        for _ in range(3):
-            processor = build()
-            start = time.perf_counter()
-            processor.run(total_cycles)
-            mono_times.append(time.perf_counter() - start)
-            mono = processor
+        mono_times, interval_times, overheads = [], [], []
+        for index in range(blocks):
+            pair = (monolithic, chunked) if index % 2 == 0 \
+                else (chunked, monolithic)
+            block = {monolithic: [], chunked: []}
+            for side in pair + pair[::-1]:
+                block[side].append(side())
+            mono_time = sum(t for t, _, _ in block[monolithic])
+            interval_time = sum(t for t, _, _ in block[chunked])
+            mono_times.append(mono_time / 2)
+            interval_times.append(interval_time / 2)
+            overheads.append(100.0 * (interval_time / mono_time - 1.0))
+        _, mono, _ = block[monolithic][-1]
+        _, interval, snapshots = block[chunked][-1]
+        return mono, interval, snapshots, mono_times, interval_times, \
+            overheads
 
-            processor = build()
-            start = time.perf_counter()
-            snapshots = list(processor.run_intervals(
-                interval_cycles, total_cycles=total_cycles))
-            interval_times.append(time.perf_counter() - start)
-            chunked = processor
-        return mono, chunked, snapshots, min(mono_times), min(interval_times)
-
-    mono, chunked, snapshots, mono_time, interval_time = benchmark.pedantic(
-        measure, rounds=1, iterations=1)
-    overhead_pct = 100.0 * (interval_time / mono_time - 1.0)
+    mono, chunked_run, snapshots, mono_times, interval_times, overheads = \
+        benchmark.pedantic(measure, rounds=1, iterations=1)
+    overhead_pct = statistics.median(overheads)
+    quartiles = statistics.quantiles(overheads, n=4)
+    iqr_pct = quartiles[2] - quartiles[0]
     _MEASUREMENTS["interval-mode overhead"] = {
         "benchmarks": list(benchmarks_mix),
         "policy": "ICOUNT",
         "interval_cycles": interval_cycles,
         "total_cycles": total_cycles,
-        "monolithic_s": round(mono_time, 4),
-        "interval_s": round(interval_time, 4),
+        "blocks": blocks,
+        "monolithic_s": round(statistics.median(mono_times), 4),
+        "interval_s": round(statistics.median(interval_times), 4),
         "overhead_pct": round(overhead_pct, 2),
+        "overhead_iqr_pct": round(iqr_pct, 2),
     }
     print(f"\ninterval mode ({interval_cycles}-cycle chunks over "
-          f"{total_cycles} cycles): {overhead_pct:+.2f}% vs monolithic")
+          f"{total_cycles} cycles): {overhead_pct:+.2f}% vs monolithic "
+          f"(median of {blocks} blocks, IQR {iqr_pct:.2f} points)")
     # Chunking must not change what was simulated...
     assert [t.stats.committed for t in mono.threads] \
-        == [t.stats.committed for t in chunked.threads]
+        == [t.stats.committed for t in chunked_run.threads]
     assert len(snapshots) == total_cycles // interval_cycles
-    # ...and the acceptance ceiling is 5%; allow measurement noise on
-    # shared CI hardware while still catching a real regression.
-    assert overhead_pct < 5.0 or interval_time - mono_time < 0.05
+    # ...and the acceptance ceiling is 5%, judged against the spread of
+    # the blocks, so host noise alone does not fail the test.
+    assert overhead_pct <= 5.0 or overhead_pct <= iqr_pct, (
+        f"interval mode costs {overhead_pct:+.2f}% (median of {blocks} "
+        f"blocks), above 5% and above the blocks' IQR of {iqr_pct:.2f}")
 
 
 def test_dcra_overhead_vs_icount(benchmark):
@@ -243,11 +271,14 @@ def test_dcra_overhead_vs_icount(benchmark):
 
 
 def test_checkpoint_throughput(benchmark, tmp_path, monkeypatch):
-    """Capture/store/restore cost of a warmed 4-thread processor.
+    """Capture/store/load/restore cost of a warmed 4-thread processor.
 
     The prefix-sharing win is (warm-up simulation time saved) minus
-    (one store + one restore per fork); this benchmark records both
-    sides so the trade stays visible across PRs.
+    (one store, then one load and one restore per fork); this benchmark
+    records both sides so the trade stays visible across PRs.  The load
+    and the restore take the path of a forked run in a later process: a
+    fresh store reads, gunzips and parses the entry from disk, and the
+    processor is built from the state (``state=``), never pre-warmed.
     """
     import time
 
@@ -255,57 +286,60 @@ def test_checkpoint_throughput(benchmark, tmp_path, monkeypatch):
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     benchmarks_mix = ("gzip", "twolf", "bzip2", "mcf")
+    profiles = [get_profile(b) for b in benchmarks_mix]
     warmed_cycles = 2 * CYCLES  # realistic warm-up length
 
     def build_and_warm():
-        processor = SMTProcessor(SMTConfig(),
-                                 [get_profile(b) for b in benchmarks_mix],
+        processor = SMTProcessor(SMTConfig(), profiles,
                                  make_policy("ICOUNT"), seed=1)
         processor.run(warmed_cycles)
         return processor
 
     def measure():
         processor = build_and_warm()
-        store = CheckpointStore()
 
         start = time.perf_counter()
         state = processor.capture_state()
         capture_s = time.perf_counter() - start
 
         start = time.perf_counter()
-        store.put("bench-prefix",
-                  _checkpoint_payload("ICOUNT", warmed_cycles, state))
+        CheckpointStore().put(
+            "bench-prefix",
+            _checkpoint_payload("ICOUNT", warmed_cycles, state))
         store_s = time.perf_counter() - start
 
         start = time.perf_counter()
-        payload = store.require("bench-prefix")
-        fresh = SMTProcessor(SMTConfig(),
-                             [get_profile(b) for b in benchmarks_mix],
-                             make_policy("ICOUNT"), seed=1)
-        fresh.restore_state(payload["state"])
+        payload = CheckpointStore().require("bench-prefix")
+        load_s = time.perf_counter() - start
+
+        start = time.perf_counter()
+        fresh = SMTProcessor(SMTConfig(), profiles, make_policy("ICOUNT"),
+                             seed=1, state=payload["state"])
         restore_s = time.perf_counter() - start
 
         start = time.perf_counter()
         build_and_warm()
         warmup_s = time.perf_counter() - start
-        return fresh, capture_s, store_s, restore_s, warmup_s
+        return fresh, capture_s, store_s, load_s, restore_s, warmup_s
 
-    fresh, capture_s, store_s, restore_s, warmup_s = benchmark.pedantic(
-        measure, rounds=1, iterations=1)
-    roundtrip_s = capture_s + store_s + restore_s
+    fresh, capture_s, store_s, load_s, restore_s, warmup_s = \
+        benchmark.pedantic(measure, rounds=1, iterations=1)
+    roundtrip_s = capture_s + store_s + load_s + restore_s
     _MEASUREMENTS["checkpoint round-trip"] = {
         "benchmarks": list(benchmarks_mix),
         "policy": "ICOUNT",
         "warmed_cycles": warmed_cycles,
         "capture_s": round(capture_s, 4),
         "store_s": round(store_s, 4),
+        "load_s": round(load_s, 4),
         "restore_s": round(restore_s, 4),
         "equivalent_warmup_s": round(warmup_s, 4),
         "breakeven_ratio": round(roundtrip_s / warmup_s, 3),
     }
     print(f"\ncheckpoint round-trip ({warmed_cycles}-cycle warm 4-thread "
           f"state): capture {capture_s * 1e3:.1f} ms, "
-          f"store {store_s * 1e3:.1f} ms, restore {restore_s * 1e3:.1f} ms "
+          f"store {store_s * 1e3:.1f} ms, load {load_s * 1e3:.1f} ms, "
+          f"restore {restore_s * 1e3:.1f} ms "
           f"(= {100 * roundtrip_s / warmup_s:.1f}% of simulating the "
           f"warm-up)")
     assert sum(t.stats.committed for t in fresh.threads) > 0

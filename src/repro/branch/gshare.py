@@ -48,8 +48,11 @@ class GsharePredictor:
         self._table = bytearray([self._INIT] * entries)
 
     def capture_state(self) -> dict:
-        """Snapshot the pattern history table (StateSnapshot protocol)."""
-        return {"table": list(self._table)}
+        """Snapshot the pattern history table (StateSnapshot protocol),
+        one counter per byte, as base64."""
+        from repro.snapshot import bytes_to_b64
+
+        return {"table": bytes_to_b64(self._table)}
 
     def restore_state(self, state: dict) -> None:
         """Overwrite the pattern table from :meth:`capture_state`.
@@ -57,9 +60,9 @@ class GsharePredictor:
         Raises:
             SnapshotError: the snapshot's table has another length.
         """
-        from repro.snapshot import SnapshotError
+        from repro.snapshot import SnapshotError, b64_to_bytes
 
-        table = state["table"]
+        table = b64_to_bytes(state["table"])
         if len(table) != self.entries:
             raise SnapshotError(
                 f"gshare snapshot has {len(table)} counters, the table "

@@ -145,12 +145,12 @@ class CheckpointStore(ContentStore):
     """Warm-up boundary states, keyed by :func:`prefix_token`: the
     ``checkpoints/`` store kind.
 
-    Entries are gzipped — a full processor state tree is a few hundred
-    kB to a few MB of JSON and compresses well.  The mechanics (key,
-    atomic writes, memory layer, counters, listing and pruning) are the
-    shared :class:`~repro.harness.results.ContentStore` core; ``stats``
-    is what the scenario layer reports and the CI prefix-reuse job
-    asserts on.
+    Entries are gzipped at level 1 — a full processor state tree is a
+    few hundred kB of JSON and compresses well even at the fastest
+    level.  The mechanics (key, atomic writes, memory layer, counters,
+    listing and pruning) are the shared
+    :class:`~repro.harness.results.ContentStore` core; ``stats`` is what
+    the scenario layer reports and the CI prefix-reuse job asserts on.
     """
 
     subdir = "checkpoints"

@@ -95,6 +95,10 @@ STORE_VERSION = 2
 #: Reuse modes accepted everywhere a ``reuse`` parameter appears.
 REUSE_MODES = ("off", "auto", "require")
 
+#: gzip level of gzipped kinds: the fastest, as level 9 takes about ten
+#: times as long to write an entry about 15% smaller.
+_GZIP_LEVEL = 1
+
 _fingerprint_cache: Optional[str] = None
 
 
@@ -502,7 +506,7 @@ class ContentStore:
             "kind": kind, "token": token, "data": encode(value),
         }).encode()
         if self.gzipped:
-            data = gzip.compress(data, mtime=0)
+            data = gzip.compress(data, compresslevel=_GZIP_LEVEL, mtime=0)
         try:
             atomic_write(path, data)
         except OSError:

@@ -1,15 +1,14 @@
 """Set-associative cache model with true-LRU replacement.
 
 Timing is handled by :mod:`repro.mem.hierarchy`; this class models only
-content (hit/miss and replacement).  Sets are small ordered dicts used as
-LRU lists, which is both compact and fast enough for the hot path of the
-cycle simulator.
+content (hit/miss and replacement).  Sets are small insertion-ordered
+dicts used as LRU lists (least recently used first), which is both
+compact and fast enough for the hot path of the cycle simulator.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 
 class Cache:
@@ -37,7 +36,7 @@ class Cache:
             raise ValueError("set count must be a power of two")
         self._offset_bits = line_bytes.bit_length() - 1
         self._set_mask = self.num_sets - 1
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        self._sets: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
 
@@ -59,7 +58,8 @@ class Cache:
         cache_set, tag = self._set_and_tag(addr)
         if tag in cache_set:
             if update_lru:
-                cache_set.move_to_end(tag)
+                del cache_set[tag]
+                cache_set[tag] = True
             self.hits += 1
             return True
         self.misses += 1
@@ -78,12 +78,12 @@ class Cache:
             None when no eviction occurred.
         """
         cache_set, tag = self._set_and_tag(addr)
-        if tag in cache_set:
-            cache_set.move_to_end(tag)
-            return None
         victim = None
-        if len(cache_set) >= self.assoc:
-            victim_tag, _ = cache_set.popitem(last=False)
+        if tag in cache_set:
+            del cache_set[tag]
+        elif len(cache_set) >= self.assoc:
+            victim_tag = next(iter(cache_set))
+            del cache_set[victim_tag]
             victim = victim_tag << self._offset_bits
         cache_set[tag] = True
         return victim
@@ -97,7 +97,7 @@ class Cache:
         """Snapshot contents and counters (StateSnapshot protocol).
 
         Each set is captured as its tag list in LRU order (least
-        recently used first — the OrderedDict insertion order), so a
+        recently used first — the dict's insertion order), so a
         restored cache evicts in exactly the original order.
         """
         return {
@@ -125,7 +125,7 @@ class Cache:
             raise SnapshotError(
                 f"{self.name} snapshot holds a set of more than "
                 f"{self.assoc} lines (the cache's associativity)")
-        self._sets = [OrderedDict.fromkeys(tags, True) for tags in tag_lists]
+        self._sets = [dict.fromkeys(tags, True) for tags in tag_lists]
         self.hits = state["hits"]
         self.misses = state["misses"]
 

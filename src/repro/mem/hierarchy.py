@@ -364,23 +364,22 @@ class MemoryHierarchy:
         for line in lines:
             cache_set = l2_sets[line & l2_mask]
             if line in cache_set:
-                cache_set.move_to_end(line)
-            else:
-                if len(cache_set) >= l2_assoc:
-                    victim = cache_set.popitem(last=False)[0]
-                    if inclusive:
-                        l1d._sets[victim & l1d._set_mask].pop(victim, None)
-                        l1i._sets[victim & l1i._set_mask].pop(victim, None)
-                cache_set[line] = True
+                del cache_set[line]
+            elif len(cache_set) >= l2_assoc:
+                victim = next(iter(cache_set))
+                del cache_set[victim]
+                if inclusive:
+                    l1d._sets[victim & l1d._set_mask].pop(victim, None)
+                    l1i._sets[victim & l1i._set_mask].pop(victim, None)
+            cache_set[line] = True
             if l1 is None:
                 continue
             cache_set = l1_sets[line & l1_mask]
             if line in cache_set:
-                cache_set.move_to_end(line)
-            else:
-                if len(cache_set) >= l1_assoc:
-                    cache_set.popitem(last=False)
-                cache_set[line] = True
+                del cache_set[line]
+            elif len(cache_set) >= l1_assoc:
+                del cache_set[next(iter(cache_set))]
+            cache_set[line] = True
         if kind == "hot":
             for addr in range(base, base + size, self.dtlb.page_bytes):
                 self.dtlb.access(addr)

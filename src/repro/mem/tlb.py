@@ -7,7 +7,7 @@ fully associative, LRU data TLB; instruction translation is assumed to hit
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from typing import Dict
 
 
 class TranslationBuffer:
@@ -26,7 +26,7 @@ class TranslationBuffer:
         self.entries = entries
         self.page_bytes = page_bytes
         self._page_bits = page_bytes.bit_length() - 1
-        self._pages: OrderedDict = OrderedDict()
+        self._pages: Dict[int, bool] = {}
         self.hits = 0
         self.misses = 0
 
@@ -38,14 +38,16 @@ class TranslationBuffer:
     def access(self, addr: int) -> bool:
         """Translate ``addr``; returns True on hit, filling on miss."""
         page = addr >> self._page_bits
-        if page in self._pages:
-            self._pages.move_to_end(page)
+        pages = self._pages
+        if page in pages:
+            del pages[page]
+            pages[page] = True
             self.hits += 1
             return True
         self.misses += 1
-        if len(self._pages) >= self.entries:
-            self._pages.popitem(last=False)
-        self._pages[page] = True
+        if len(pages) >= self.entries:
+            del pages[next(iter(pages))]
+        pages[page] = True
         return False
 
     def capture_state(self) -> dict:
@@ -74,7 +76,7 @@ class TranslationBuffer:
             raise SnapshotError(
                 f"TLB snapshot holds {len(pages)} pages, the TLB has "
                 f"{self.entries} entries")
-        self._pages = OrderedDict.fromkeys(pages, True)
+        self._pages = dict.fromkeys(pages, True)
         self.hits = state["hits"]
         self.misses = state["misses"]
 

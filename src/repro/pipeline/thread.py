@@ -95,7 +95,7 @@ class ThreadContext:
                       s.load_l1_misses, s.load_l2_misses,
                       s.fetch_stall_cycles, s.policy_stall_cycles,
                       s.slow_cycles],
-            "trace": self.trace.capture_state(),
+            "trace": self.trace.capture_state(self.trace_low_water()),
         }
 
     def restore_state(self, state: dict, ops_by_seq) -> None:
@@ -140,8 +140,8 @@ class ThreadContext:
         self.wrong_path_pc = 0
         self.mispredict_op = None
 
-    def prune_trace(self) -> None:
-        """Release trace history that can no longer be refetched.
+    def trace_low_water(self) -> int:
+        """The oldest trace index that can still be fetched or restored.
 
         A squash can only rewind fetch to the successor of an in-flight
         correct-path instruction, so everything older than the oldest
@@ -157,4 +157,8 @@ class ThreadContext:
             if op.trace_index >= 0:
                 low_water = min(low_water, op.trace_index)
                 break
-        self.trace.release_below(max(0, low_water))
+        return max(0, low_water)
+
+    def prune_trace(self) -> None:
+        """Release trace history below :meth:`trace_low_water`."""
+        self.trace.release_below(self.trace_low_water())

@@ -72,8 +72,10 @@ class PredictiveDataGatingPolicy(Policy):
         self.predicted_misses = 0
 
     def capture_state(self) -> dict:
+        from repro.snapshot import bytes_to_b64
+
         return {
-            "table": list(self._table),
+            "table": bytes_to_b64(self._table),
             "gate_op": [op.seq if op is not None else None
                         for op in self._gate_op],
             "predictions": self.predictions,
@@ -81,8 +83,14 @@ class PredictiveDataGatingPolicy(Policy):
         }
 
     def restore_state(self, state: dict, ops_by_seq=None) -> None:
-        self._table = bytearray(state["table"])
-        self._mask = len(self._table) - 1
+        from repro.snapshot import SnapshotError, b64_to_bytes
+
+        table = b64_to_bytes(state["table"])
+        if len(table) != self.table_size:
+            raise SnapshotError(
+                f"PDG snapshot has {len(table)} counters, the table has "
+                f"{self.table_size}")
+        self._table = bytearray(table)
         self._gate_op = [ops_by_seq[seq] if seq is not None else None
                          for seq in state["gate_op"]]
         self.predictions = state["predictions"]

@@ -7,11 +7,11 @@ implements the same two methods:
 
 ``capture_state() -> dict``
     A deterministic, JSON-safe description of the component's *mutable*
-    state.  Plain data only (dicts keyed by strings, lists, ints,
-    floats, bools, None): the same component state always captures to
-    the same tree, two trees compare with ``==``, and a tree survives a
-    ``json.dumps``/``loads`` round-trip bitwise (JSON round-trips
-    Python floats exactly).  Configuration-derived state (sizes, masks,
+    state.  Plain data only (dicts keyed by strings, lists, strings,
+    ints, floats, bools, None): the same component state always
+    captures to the same tree, two trees compare with ``==``, and a
+    tree survives a ``json.dumps``/``loads`` round-trip bitwise (JSON
+    round-trips Python floats exactly).  Configuration-derived state (sizes, masks,
     latencies, lookup tables built from the config) is *not* captured —
     restore targets are freshly constructed components that already
     carry it.
@@ -39,6 +39,8 @@ source change.
 
 from __future__ import annotations
 
+import base64
+import struct
 from typing import List, Sequence, Tuple
 
 try:  # pragma: no cover - typing nicety only
@@ -53,7 +55,7 @@ except ImportError:  # pragma: no cover - very old interpreters
 #: Version stamp of processor-level snapshot trees.  Bump on deliberate
 #: format changes; code-change staleness of *stored* checkpoints is
 #: handled by the source fingerprint in the checkpoint store key.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(ValueError):
@@ -80,16 +82,39 @@ def check_version(state: dict, who: str) -> None:
             f"build's version {SNAPSHOT_VERSION}")
 
 
+def bytes_to_b64(data: bytes) -> str:
+    """A byte table as one base64 string: one JSON string parses far
+    faster than one JSON int per byte."""
+    return base64.b64encode(data).decode("ascii")
+
+
+def b64_to_bytes(text: str) -> bytes:
+    """Exact inverse of :func:`bytes_to_b64`."""
+    return base64.b64decode(text)
+
+
+def words_to_b64(words: Sequence[int]) -> str:
+    """uint32 words as base64 of their little-endian bytes."""
+    return bytes_to_b64(struct.pack(f"<{len(words)}I", *words))
+
+
+def b64_to_words(text: str) -> Tuple[int, ...]:
+    """Exact inverse of :func:`words_to_b64`."""
+    data = b64_to_bytes(text)
+    return struct.unpack(f"<{len(data) // 4}I", data)
+
+
 def rng_state_to_json(state: tuple) -> list:
-    """``random.Random.getstate()`` as JSON-safe plain data."""
+    """``random.Random.getstate()`` as JSON-safe plain data, the 625
+    Mersenne Twister words packed by :func:`words_to_b64`."""
     version, internal, gauss_next = state
-    return [version, list(internal), gauss_next]
+    return [version, words_to_b64(internal), gauss_next]
 
 
 def rng_state_from_json(data: Sequence) -> tuple:
     """Exact inverse of :func:`rng_state_to_json`."""
     version, internal, gauss_next = data
-    return (version, tuple(internal), gauss_next)
+    return (version, b64_to_words(internal), gauss_next)
 
 
 def int_dict_to_pairs(mapping: dict) -> List[list]:

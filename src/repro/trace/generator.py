@@ -532,18 +532,21 @@ class TraceBuffer:
             ops.append(next_op())
         return ops[i]
 
-    def capture_state(self) -> dict:
-        """Snapshot the window and generator cursors (StateSnapshot).
+    def capture_state(self, low_water: int = 0) -> dict:
+        """Snapshot the live window and generator cursors (StateSnapshot).
 
-        The un-pruned window is serialised op by op: its instructions
-        were drawn *before* the captured RNG cursor, so they cannot be
-        regenerated from the cursor — they are data, not replay.
+        The window from ``max(base, low_water)``, the owning thread's
+        oldest index still in use, is serialised op by op without pruning
+        the buffer, so the capture does not depend on when the last prune
+        ran.  Its instructions were drawn *before* the captured RNG
+        cursor, so they cannot be regenerated from it — they are data.
         """
         from repro.isa.instruction import encode_static
 
+        drop = min(max(0, low_water - self._base), len(self._ops))
         return {
-            "base": self._base,
-            "ops": [encode_static(op) for op in self._ops],
+            "base": self._base + drop,
+            "ops": [encode_static(op) for op in self._ops[drop:]],
             "generator": self._gen.capture_state(),
         }
 

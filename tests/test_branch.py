@@ -1,5 +1,7 @@
 """Unit tests for gshare, BTB, RAS and the composed branch unit."""
 
+import json
+
 import pytest
 
 from repro.branch.btb import BranchTargetBuffer
@@ -7,6 +9,7 @@ from repro.branch.gshare import GsharePredictor
 from repro.branch.ras import ReturnAddressStack
 from repro.branch.unit import BranchUnit
 from repro.isa.instruction import BranchKind, OpClass, StaticOp
+from repro.snapshot import SnapshotError
 
 
 class TestGshare:
@@ -53,6 +56,23 @@ class TestGshare:
             GsharePredictor(1000)
         with pytest.raises(ValueError):
             GsharePredictor(1024, history_bits=20)
+
+    def test_packed_table_survives_json_round_trip(self):
+        predictor = GsharePredictor(1024)
+        for pc in range(0, 4096, 12):
+            predictor.update(pc, 0, taken=pc % 3 == 0)
+        state = json.loads(json.dumps(predictor.capture_state()))
+        assert isinstance(state["table"], str)  # one base64 string
+        restored = GsharePredictor(1024)
+        restored.restore_state(state)
+        assert restored._table == predictor._table
+        assert restored.capture_state() == predictor.capture_state()
+
+    def test_table_of_another_length_rejected(self):
+        state = GsharePredictor(1024).capture_state()
+        with pytest.raises(SnapshotError,
+                           match="^gshare snapshot has 1024 counters"):
+            GsharePredictor(2048).restore_state(state)
 
 
 class TestBTB:

@@ -144,6 +144,30 @@ class TestRestoreBitwise:
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
         assert proc.stdout.strip() == expected
 
+    def test_capture_does_not_depend_on_prune_history(self):
+        """Each trace window is captured from its thread's low-water
+        mark, so a twin pruned just before the capture captures the same
+        tree, and the capture itself prunes nothing."""
+        def warmed():
+            processor = _build_processor(BENCHMARKS[:4], "ICOUNT", None, 2)
+            processor.run(1_500)  # past the 1,024-cycle prune, unaligned
+            return processor
+
+        processor = warmed()
+        bases = [thread.trace._base for thread in processor.threads]
+        state = processor.capture_state()
+        assert [thread.trace._base for thread in processor.threads] == bases
+        twin = warmed()
+        for thread in twin.threads:
+            thread.prune_trace()
+        assert json.dumps(state, sort_keys=True) == state_key(twin)
+        for thread, tstate in zip(processor.threads, state["threads"]):
+            low_water = thread.trace_low_water()
+            assert tstate["trace"]["base"] == low_water
+            assert low_water > thread.trace._base  # the twin pruned more
+            assert len(tstate["trace"]["ops"]) == \
+                len(thread.trace) - low_water
+
     def test_version_mismatch_rejected(self, small_config):
         processor = _build_processor(("gzip",), "ICOUNT", small_config, 1)
         processor.run(100)

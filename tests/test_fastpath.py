@@ -57,7 +57,12 @@ QUIESCE_SAFE = {"ROUND-ROBIN", "ICOUNT", "STALL", "FLUSH", "FLUSH++",
 
 
 def _state_digest(processor):
-    return json.dumps(processor.capture_state(), sort_keys=True,
+    """The captured state plus each thread's trace-window base.  The
+    capture starts every window at its thread's low-water mark, so only
+    the base shows when the periodic prune last ran, and with it that
+    ``run_fast``'s bulk prune over skipped spans matches ``step()``."""
+    bases = [thread.trace._base for thread in processor.threads]
+    return json.dumps([processor.capture_state(), bases], sort_keys=True,
                       default=repr)
 
 

@@ -1,8 +1,12 @@
 """Unit tests for the synthetic trace generator and trace buffer."""
 
+import json
+import random
+
 import pytest
 
 from repro.isa.instruction import BranchKind, OpClass
+from repro.snapshot import b64_to_words, words_to_b64
 from repro.trace.generator import SyntheticTraceGenerator, TraceBuffer
 from repro.trace.profiles import (
     COLD_REGION_BYTES,
@@ -51,6 +55,33 @@ class TestDeterminism:
                 for _ in range(5):
                     b.wrong_path_op(0x1234)
             assert a.next_op().pc == b.next_op().pc
+
+
+class TestSnapshot:
+    def test_uint32_words_round_trip(self):
+        words = (0, 1, 2**31, 2**32 - 1, 624,
+                 *random.Random(5).getstate()[1])
+        packed = words_to_b64(words)
+        assert isinstance(packed, str)
+        assert b64_to_words(packed) == words
+
+    def test_rng_states_survive_json_round_trip(self):
+        generator = make_generator(seed=13)
+        for i in range(500):
+            generator.next_op()
+            if i % 7 == 0:
+                generator.wrong_path_op(0x4000)
+        generator._rng.gauss(0.0, 1.0)  # leaves a cached gauss_next
+        state = json.loads(json.dumps(generator.capture_state()))
+        assert isinstance(state["rng"][1], str)
+        assert isinstance(state["wp_rng"][1], str)
+        restored = make_generator(seed=99)
+        restored.restore_state(state)
+        assert restored._rng.getstate() == generator._rng.getstate()
+        assert restored._wp_rng.getstate() == generator._wp_rng.getstate()
+        assert restored.capture_state() == generator.capture_state()
+        for _ in range(200):
+            assert restored.next_op().pc == generator.next_op().pc
 
 
 class TestInstructionMix:

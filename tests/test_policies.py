@@ -1,5 +1,7 @@
 """Unit tests for the baseline fetch policies."""
 
+import json
+
 import pytest
 
 from repro.isa.instruction import MicroOp, OpClass, ST_SQUASHED, StaticOp
@@ -18,6 +20,7 @@ from repro.policies import (
     StaticAllocationPolicy,
     make_policy,
 )
+from repro.snapshot import SnapshotError
 from repro.trace.profiles import get_profile
 
 
@@ -191,6 +194,31 @@ class TestPredictiveDataGating:
     def test_invalid_table_size(self):
         with pytest.raises(ValueError):
             PredictiveDataGatingPolicy(table_size=100)
+
+    def test_packed_table_survives_json_round_trip(self):
+        processor = build(PredictiveDataGatingPolicy())
+        processor.run(600)
+        policy = processor.policy
+        assert any(policy._table)  # trained, not all zero
+        state = json.loads(json.dumps(processor.capture_state()))
+        assert isinstance(state["policy"]["table"], str)
+        restored = build(PredictiveDataGatingPolicy())
+        restored.restore_state(state)
+        assert restored.policy._table == policy._table
+        assert restored.capture_state() == processor.capture_state()
+
+    def test_other_table_size_rejected(self):
+        """A snapshot of another predictor geometry must not be adopted:
+        the table size and the index mask stay those of construction."""
+        small = build(PredictiveDataGatingPolicy(table_size=1024))
+        small.run(200)
+        state = small.capture_state()
+        target = build(PredictiveDataGatingPolicy())
+        with pytest.raises(SnapshotError, match="^PDG snapshot has 1024 "
+                           "counters, the table has 4096$"):
+            target.restore_state(state)
+        assert len(target.policy._table) == target.policy.table_size == 4096
+        assert target.policy._mask == 4095
 
 
 class TestStaticAllocation:
