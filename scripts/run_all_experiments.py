@@ -4,34 +4,34 @@
 Writes the output consumed by EXPERIMENTS.md.  The artefact list is the
 declarative scenario suite (``repro.harness.experiments.ARTIFACTS`` —
 the same registry behind ``repro scenario list``), plus the exact
-Table 1; every driver runs through the parallel experiment engine:
-``--jobs N`` simulates on N workers and ``--executor`` picks the
-backend (local process pool by default, ``remote`` for socket
-workers); by the engine's determinism contract each artefact's numbers
-are identical for any combination.
+Table 1.  Every artefact compiles its jobs into one shared campaign: a
+deduplicated task list in which a job two artefacts share (Figure 6 at
+352 registers, Figure 7 at a 300-cycle memory latency and Section 5.2
+all run the Table 2 machine) simulates once, and the Hmean baselines
+ride along as ordinary tasks.  The campaign runs through one
+:func:`~repro.harness.engine.execute` call on one executor, then the
+sections render in suite order.  ``--jobs N`` simulates on N workers
+and ``--executor`` picks the backend (local process pool by default,
+``remote`` for socket workers); by the engine's determinism contract
+each artefact's numbers are identical for any combination.
+``--reps N`` replicates the policy-comparison sweeps over N derived
+seeds and adds ±95% CI columns.  Expect a ~1h run serially in pure
+Python — or pass ``--reuse auto`` (the default) and let the
+content-addressed result store make repeat runs incremental: any job
+already stored (same source fingerprint, config, budgets, seed) is
+served instead of simulated, with identical output.
 
-With workers available the artefacts *stream*: all drivers share one
-executor, their job subsets interleave on the worker fleet, and each
-artefact's section is emitted the moment its own jobs finish — not
-driver-by-driver — so early artefacts appear while later sweeps are
-still simulating.  Section order therefore follows completion, and
-every section is labelled.  ``--reps N`` replicates the
-policy-comparison sweeps over N derived seeds and adds ±95% CI columns.
-Expect a ~1h run serially in pure Python — or pass ``--reuse auto``
-(the default) and let the content-addressed result store make repeat
-runs incremental: any job already stored (same source fingerprint,
-config, budgets, seed) is served instead of simulated, with identical
-output.
-
-``--warmup`` overrides every driver's warm-up — a fixed count, or
+``--warmup`` overrides every artefact's warm-up — a fixed count, or
 ``auto[:window,tol[,metric,max]]`` for steady-state warm-up resolved
 per run from its interval series (each run then picks the warm-up its
 workload needs instead of sharing one guessed count).
 
-An artefact that raises fails alone: its section reads ``FAILED:
-<type>: <message>`` (traceback on stderr), the other artefacts still
-run, the ``done`` section lists the failed labels and the script exits
-with status 1.
+A section whose compile or render step raises fails alone: it reads
+``FAILED: <type>: <message>`` (traceback on stderr) and the other
+sections still render.  A task that raises stops the campaign: the
+sections whose tasks had all completed still render, the others fail
+with that error.  The ``done`` section lists the failed labels and the
+script exits with status 1.
 
 Run:
     python scripts/run_all_experiments.py [output-file] [--jobs N]
@@ -40,17 +40,14 @@ Run:
 """
 
 import argparse
-import dataclasses
 import sys
-import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor, as_completed
 
 from repro.core.sharing import precomputed_table
+from repro.harness.engine import Campaign, CampaignRun, execute
 from repro.harness.experiments import ARTIFACTS
-from repro.harness.executors import make_executor
-from repro.harness.results import REUSE_MODES, result_store
+from repro.harness.results import REUSE_MODES
 from repro.harness.warmup import parse_warmup_argument
 
 
@@ -80,7 +77,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument(
         "--interval-cycles", type=int, default=None, metavar="N",
         help="run the Figure 4/5 policy sweep in N-cycle chunks "
-             "(identical numbers; enables per-interval progress)")
+             "(identical numbers)")
     parser.add_argument(
         "--reuse", choices=list(REUSE_MODES), default="auto",
         help="result-store mode (default auto: repeat runs serve stored "
@@ -96,75 +93,78 @@ def _table1() -> str:
         for index, row in enumerate(precomputed_table(32, 4), 1))
 
 
-def build_artefacts(args, executor):
-    """(label, thunk) per artefact; thunks share the one executor."""
-    entries = [("Table 1 (exact)", _table1)]
+def build_sections(args):
+    """(label, compile) per section, in suite order.
+
+    ``compile(campaign)`` adds the section's tasks to the shared
+    campaign and returns ``(keys, render)``: the task keys the section
+    needs, and the function rendering its text from the payloads.
+    """
+    sections = [("Table 1 (exact)",
+                 lambda campaign: ((), lambda payloads: _table1()))]
     for artifact in ARTIFACTS:
-        def thunk(artifact=artifact):
-            # Artefacts without an interval knob ignore the argument
-            # (the ArtifactDef.render contract).
-            return artifact.render(
-                jobs=args.jobs, executor=executor, reps=args.reps,
-                reuse=args.reuse, warmup=args.warmup,
-                interval_cycles=args.interval_cycles)
-        entries.append((artifact.title, thunk))
-    return entries
+        def compile_section(campaign, artifact=artifact):
+            # Artefacts ignore the overrides outside their knobs.
+            scenario = artifact.build(warmup=args.warmup, reps=args.reps,
+                                      interval_cycles=args.interval_cycles)
+            tasks = scenario.compile().tasks(campaign, artifact.kind,
+                                             artifact.hmean)
+            return tasks.needs(), \
+                lambda payloads: artifact.render(tasks.outcome(payloads))
+        sections.append((artifact.title, compile_section))
+    return sections
+
+
+def _failure(error: BaseException) -> str:
+    return f"FAILED: {type(error).__name__}: {error}"
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     out = open(args.output, "w") if args.output else sys.stdout
-    emit_lock = threading.Lock()
     t0 = time.time()
-    store_before = dataclasses.replace(result_store.stats)
     failed = []
 
     def emit_section(label, body):
-        with emit_lock:
-            print(f"\n{'=' * 70}\n{label}  [t+{time.time() - t0:.0f}s]\n"
-                  f"{'=' * 70}", file=out, flush=True)
-            print(body, file=out, flush=True)
+        print(f"\n{'=' * 70}\n{label}  [t+{time.time() - t0:.0f}s]\n"
+              f"{'=' * 70}", file=out, flush=True)
+        print(body, file=out, flush=True)
 
-    def emit_outcome(label, outcome):
-        """Emit an artefact from a thunk or a resolved future; a raising
-        artefact is reported in its section instead of aborting the run."""
+    campaign = Campaign()
+    sections = []
+    for label, compile_section in build_sections(args):
         try:
-            body = outcome()
+            sections.append((label, *compile_section(campaign), None))
         except Exception as error:  # noqa: BLE001 - isolated, reported
             traceback.print_exc()
+            sections.append((label, (), None, _failure(error)))
+
+    run = CampaignRun()
+    campaign_failure = None
+    try:
+        execute(campaign, args.jobs, args.executor, args.reuse, run=run)
+    except Exception as error:  # noqa: BLE001 - isolated, reported
+        traceback.print_exc()
+        campaign_failure = _failure(error)
+
+    for label, keys, render, failure in sections:
+        if failure is None and not all(key in run.payloads for key in keys):
+            failure = campaign_failure
+        if failure is None:
+            try:
+                body = render(run.payloads)
+            except Exception as error:  # noqa: BLE001 - isolated, reported
+                traceback.print_exc()
+                failure = _failure(error)
+        if failure is not None:
             failed.append(label)
-            body = f"FAILED: {type(error).__name__}: {error}"
+            body = failure
         emit_section(label, body)
 
-    parallel = args.jobs > 1 or args.executor is not None
-    executor = make_executor(args.executor, args.jobs) if parallel else None
-    artefacts = build_artefacts(args, executor)
-    try:
-        if not parallel:
-            for label, thunk in artefacts:
-                emit_outcome(label, thunk)
-        else:
-            # Fork/spawn every backend worker from the main thread,
-            # before the driver threads exist — forking later, from a
-            # multithreaded process, risks inheriting a lock some other
-            # thread held at fork time (deadlock).
-            executor.warm_up()
-            # One shared backend, one thread per artefact: the artefact
-            # job subsets interleave on the worker fleet and each
-            # section streams out the moment its own jobs complete.
-            with ThreadPoolExecutor(len(artefacts)) as drivers:
-                futures = {drivers.submit(thunk): label
-                           for label, thunk in artefacts}
-                for future in as_completed(futures):
-                    emit_outcome(futures[future], future.result)
-    finally:
-        if executor is not None:
-            executor.close()
-
-    stats = result_store.stats
-    summary = (f"{len(artefacts)} artefacts  [store reuse={args.reuse}: "
-               f"{stats.hits - store_before.hits} result(s) reused, "
-               f"{stats.misses - store_before.misses} computed]")
+    stats = run.store_stats
+    summary = (f"{len(sections)} artefacts  [store reuse={args.reuse}: "
+               f"{stats['hits']} result(s) reused, "
+               f"{stats['misses']} computed]")
     if failed:
         summary += f"\nFAILED ({len(failed)}): " + "; ".join(failed)
     emit_section("done", summary)

@@ -17,6 +17,12 @@ Commands:
   store (``$REPRO_CACHE_DIR/checkpoints/``); ``scenario run`` grows
   ``--checkpoint {off,auto,require}`` for shared warm-up prefixes
   (see :mod:`repro.harness.checkpoints`).
+
+``run``, ``compare`` and ``scenario run`` each compile their work — a
+one-workload scenario for ``run``/``compare``, the file's or the
+artefact's scenario otherwise, Hmean baselines included — to one
+campaign and call :func:`repro.harness.engine.execute` once; the
+printed tables are pure functions of its payloads.
 * ``broker serve|status|submit`` — the persistent simulation service
   (:mod:`repro.harness.broker`): ``serve`` runs the broker (one shared
   worker pool, many concurrent clients, durable fair queue, HTTP
@@ -65,30 +71,21 @@ import sys
 import threading
 from typing import Iterator, List, Optional
 
-from repro.harness.engine import (
-    ReplicatedRun,
-    SimJob,
-    derive_seeds,
-    ensure_baselines,
-    ensure_baselines_sweep,
-    run_jobs,
-    run_replicated,
-)
+from repro.harness.engine import ReplicatedRun, SimJob, derive_seeds
 from repro.harness.checkpoints import (
     CHECKPOINT_MODES,
     CheckpointMiss,
     checkpoint_store,
 )
-from repro.harness.progress import guard_progress
 from repro.harness.executors import Executor, make_executor
 from repro.harness.results import (
     REUSE_MODES,
     ResultStoreMiss,
     normalize_reuse,
-    result_store,
 )
-from repro.harness.runner import run_benchmarks_intervals
 from repro.harness.scenario import (
+    Scenario,
+    ScenarioRun,
     load_scenario,
     run_scenario,
     scenario_report,
@@ -110,9 +107,9 @@ from repro.trace.workloads import all_workloads, find_workload
 def _cli_executor(args: argparse.Namespace) -> Iterator[Optional[Executor]]:
     """One backend instance per command invocation (None = plain serial).
 
-    Building the executor once and passing the instance down means a
-    remote fleet is spawned a single time even though a command issues
-    several engine calls (baselines, policy runs, replications).
+    Each command executes one campaign on it (policy runs,
+    replications and Hmean baselines alike), so a remote fleet is
+    spawned a single time.
     """
     if args.executor is None and args.jobs <= 1:
         yield None
@@ -225,24 +222,32 @@ def _maybe_profile(path: Optional[str]) -> Iterator[None]:
               f"(inspect with: python -m pstats {path})", file=sys.stderr)
 
 
-@contextlib.contextmanager
-def _store_traffic(args: argparse.Namespace) -> Iterator[dict]:
-    """Track result-store traffic for one command invocation.
+def _execute(args: argparse.Namespace, scenario: Scenario, executor,
+             progress=None, **options) -> ScenarioRun:
+    """Compile and execute one command's scenario: one campaign.
 
-    Yields a dict filled in on exit with this invocation's hit/miss
-    counts; with ``--reuse`` enabled a summary goes to stderr (stdout
-    stays bitwise-comparable between cold and warm runs).
+    With ``--reuse`` enabled a store-traffic summary goes to stderr
+    (stdout stays bitwise-comparable between cold and warm runs).
+    ``options`` are :func:`~repro.harness.scenario.run_scenario`'s
+    ``kind``/``hmean``/``checkpoint``.
     """
-    before = dataclasses.replace(result_store.stats)
-    stats: dict = {}
-    yield stats
-    after = result_store.stats
-    stats.update(hits=after.hits - before.hits,
-                 misses=after.misses - before.misses,
-                 stores=after.stores - before.stores)
-    if normalize_reuse(getattr(args, "reuse", None)) != "off":
+    outcome = run_scenario(scenario, args.jobs, executor, args.reuse,
+                           progress, **options)
+    if normalize_reuse(args.reuse) != "off":
+        stats = outcome.store_stats
         print(f"[store] {stats['hits']} stored result(s) reused, "
               f"{stats['misses']} computed", file=sys.stderr)
+    return outcome
+
+
+def _mix_scenario(args: argparse.Namespace, benchmarks: List[str],
+                  policies) -> Scenario:
+    """The one-workload scenario behind ``run`` and ``compare``."""
+    mix = "+".join(benchmarks)
+    return Scenario(name=mix, workloads=(mix,), policies=tuple(policies),
+                    cycles=args.cycles, warmup=args.warmup, seed=args.seed,
+                    reps=max(1, args.reps),
+                    interval_cycles=args.interval_cycles)
 
 
 def _note_resolved_warmups(results) -> None:
@@ -257,38 +262,22 @@ def _note_resolved_warmups(results) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    interval = args.interval_cycles
-    if (args.timeline or args.timeline_json) and \
-            not (interval and args.reps <= 1):
+    # A single interval-mode run keeps its whole IntervalRun (recorder
+    # included), so the timeline views are available — and a warm store
+    # rerun renders identical timelines too.
+    keep_intervals = bool(args.interval_cycles) and args.reps <= 1
+    if (args.timeline or args.timeline_json) and not keep_intervals:
         raise SystemExit(
             "--timeline/--timeline-json need --interval-cycles and a "
             "single replication (--reps 1)")
-    if args.reps <= 1 and interval:
-        # In-process interval run: keeps the recorder, so the timeline
-        # views are available (a single job gains nothing from workers).
-        # Store reuse round-trips the whole IntervalRun (snapshots
-        # included), so a warm rerun renders identical timelines too.
-        reuse = normalize_reuse(args.reuse)
-        job = SimJob(tuple(args.benchmarks), args.policy, None, args.cycles,
-                     args.warmup, args.seed, interval_cycles=interval)
-        run = None
-        with _store_traffic(args):
-            if reuse == "require":
-                run = result_store.require(job, "intervals")
-            elif reuse == "auto":
-                run = result_store.get(job, "intervals")
-            if run is None:
-                wrapped = None
-                if args.progress:
-                    progress = guard_progress(_progress_printer(1))
-                    wrapped = lambda event: progress(0, event)  # noqa: E731
-                with _maybe_profile(args.profile_out):
-                    run = run_benchmarks_intervals(
-                        args.benchmarks, args.policy, None, args.cycles,
-                        args.warmup, args.seed, interval_cycles=interval,
-                        progress=wrapped)
-                if reuse == "auto":
-                    result_store.put(job, run, "intervals")
+    scenario = _mix_scenario(args, args.benchmarks, [args.policy])
+    progress = _progress_printer(max(1, args.reps)) if args.progress else None
+    with _cli_executor(args) as executor, _maybe_profile(args.profile_out):
+        outcome = _execute(
+            args, scenario, executor, progress,
+            kind="intervals" if keep_intervals else "result")
+    if keep_intervals:
+        run = outcome.results[0]
         if _adaptive_warmup(args):
             settled = ("settled" if run.warmup_converged
                        else "hit the max_warmup cap")
@@ -303,22 +292,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             _dump_timeline_json(run, args.benchmarks, args.policy,
                                 args.timeline_json)
         return 0
-    job = SimJob(tuple(args.benchmarks), args.policy, None, args.cycles,
-                 args.warmup, args.seed, interval_cycles=interval)
-    progress = _progress_printer(max(1, args.reps)) if args.progress else None
-    with _cli_executor(args) as executor, _store_traffic(args), \
-            _maybe_profile(args.profile_out):
-        if args.reps <= 1:
-            result = run_jobs([job], args.jobs, executor, progress,
-                              args.reuse)[0]
-            if _adaptive_warmup(args):
-                _note_resolved_warmups([result])
-            print(thread_table(result))
-            return 0
-        replicated = run_replicated(job, args.reps, args.jobs, executor,
-                                    progress, args.reuse)
     if _adaptive_warmup(args):
-        _note_resolved_warmups(replicated.results)
+        _note_resolved_warmups(outcome.results)
+    if args.reps <= 1:
+        print(thread_table(outcome.results[0]))
+        return 0
+    replicated = ReplicatedRun(outcome.compiled.jobs[0], outcome.results)
     print(f"Workload: {'+'.join(args.benchmarks)}  policy {args.policy}")
     row = ReplicatedComparisonRow(
         policy=replicated.policy,
@@ -348,46 +327,28 @@ def _resolve_compare_benchmarks(args: argparse.Namespace) -> List[str]:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     benchmarks = _resolve_compare_benchmarks(args)
-    interval = args.interval_cycles
     print(f"Workload: {'+'.join(benchmarks)}")
+    scenario = _mix_scenario(args, benchmarks, args.policies)
     n_jobs = len(args.policies) * max(1, args.reps)
     progress = _progress_printer(n_jobs) if args.progress else None
-    with _cli_executor(args) as executor, _store_traffic(args):
-        if args.reps <= 1:
-            singles_by_benchmark = ensure_baselines(
-                benchmarks, cycles=args.cycles, warmup=args.warmup,
-                seed=args.seed, max_workers=args.jobs, executor=executor)
-            jobs = [SimJob(tuple(benchmarks), policy, None, args.cycles,
-                           args.warmup, args.seed, interval_cycles=interval)
-                    for policy in args.policies]
-            results = run_jobs(jobs, args.jobs, executor, progress,
-                               args.reuse)
-            singles = [singles_by_benchmark[b] for b in benchmarks]
-            if _adaptive_warmup(args):
-                _note_resolved_warmups(results)
-            print(comparison_table(results, single_ipcs=singles))
-            return 0
-
-        seeds = derive_seeds(args.seed, args.reps)
-        singles = ensure_baselines_sweep(
-            benchmarks, seeds, cycles=args.cycles, warmup=args.warmup,
-            max_workers=args.jobs, executor=executor)
-        jobs = [SimJob(tuple(benchmarks), policy, None, args.cycles,
-                       args.warmup, seed, interval_cycles=interval)
-                for policy in args.policies
-                for seed in seeds]
-        results = run_jobs(jobs, args.jobs, executor, progress, args.reuse)
-
+    with _cli_executor(args) as executor:
+        outcome = _execute(args, scenario, executor, progress, hmean=True)
     if _adaptive_warmup(args):
-        _note_resolved_warmups(results)
-    singles_per_rep = [[singles[(b, seed)] for b in benchmarks]
-                       for seed in seeds]
+        _note_resolved_warmups(outcome.results)
+    singles_per_rep = [[outcome.singles[(0, b, seed)] for b in benchmarks]
+                       for seed in derive_seeds(args.seed, args.reps)]
+    if args.reps <= 1:
+        print(comparison_table(outcome.results,
+                               single_ipcs=singles_per_rep[0]))
+        return 0
+
     rows: List[ReplicatedComparisonRow] = []
-    for index, policy in enumerate(args.policies):
+    for index in range(len(args.policies)):
         replicated = ReplicatedRun(
-            SimJob(tuple(benchmarks), policy, None, args.cycles,
-                   args.warmup, args.seed),
-            results[index * args.reps:(index + 1) * args.reps])
+            outcome.compiled.jobs[index],
+            [result for meta, result in zip(outcome.compiled.meta,
+                                            outcome.results)
+             if meta.policy_index == index])
         rows.append(ReplicatedComparisonRow(
             policy=replicated.policy,
             throughput=replicated.throughput_stats,
@@ -429,53 +390,50 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     """Run a scenario file, or a built-in artefact by key."""
     from repro.harness.experiments import ARTIFACTS, find_artifact
 
-    is_file = (os.path.exists(args.target)
-               or args.target.endswith((".json", ".toml")))
-    stats: dict
-    with _cli_executor(args) as executor, _store_traffic(args) as stats:
-        if is_file:
-            try:
-                scenario = load_scenario(args.target)
-                scenario = dataclasses.replace(scenario,
-                                               **_scenario_overrides(args))
-            except (OSError, ValueError) as error:
-                raise SystemExit(str(error)) from None
-            outcome = run_scenario(scenario, args.jobs, executor,
-                                   reuse=args.reuse,
-                                   checkpoint=args.checkpoint)
-            if outcome.checkpoint_stats is not None:
-                ckpt = outcome.checkpoint_stats
-                print(f"[checkpoint] {ckpt['prefixes']} shared warm-up "
-                      f"prefix(es) covering {ckpt['jobs']} job(s): "
-                      f"{ckpt['hits']} reused, {ckpt['computed']} computed",
-                      file=sys.stderr)
-                stats["checkpoint"] = ckpt
-            print(f"# scenario {scenario.name} "
-                  f"({len(outcome.compiled.jobs)} jobs, "
-                  f"{len(outcome.compiled.points)} grid point(s))")
-            if scenario.description:
-                print(f"# {scenario.description}")
-            print(scenario_report(outcome, include_hmean=not args.no_hmean,
-                                  max_workers=args.jobs, executor=executor))
-            stats["jobs"] = len(outcome.compiled.jobs)
-        else:
-            try:
-                artifact = find_artifact(args.target)
-            except ValueError as error:
-                keys = ", ".join(a.key for a in ARTIFACTS)
-                raise SystemExit(
-                    f"{error}\n(pass a scenario file path, or one of: "
-                    f"{keys})") from None
-            body = artifact.render(
-                jobs=args.jobs, executor=executor,
-                reps=args.reps or 1, reuse=args.reuse,
-                warmup=args.warmup, cycles=args.cycles, seed=args.seed)
-            print(f"# {artifact.title}")
-            print(body)
-    # Built-in artefacts have no compiled job list here; with reuse on,
-    # every job consulted the store exactly once, so hits + misses is
-    # the job count (keeps the hits == jobs warm-store check uniform).
-    stats.setdefault("jobs", stats["hits"] + stats["misses"])
+    overrides = _scenario_overrides(args)
+    if (os.path.exists(args.target)
+            or args.target.endswith((".json", ".toml"))):
+        try:
+            scenario = dataclasses.replace(load_scenario(args.target),
+                                           **overrides)
+        except (OSError, ValueError) as error:
+            raise SystemExit(str(error)) from None
+        title, render = None, scenario_report
+        kind, hmean = "result", not args.no_hmean
+    else:
+        try:
+            artifact = find_artifact(args.target)
+        except ValueError as error:
+            keys = ", ".join(a.key for a in ARTIFACTS)
+            raise SystemExit(
+                f"{error}\n(pass a scenario file path, or one of: "
+                f"{keys})") from None
+        if args.no_hmean:
+            raise SystemExit(
+                "--no-hmean applies to scenario files only: the built-in "
+                f"artefact {artifact.key!r} renders its own columns")
+        scenario = artifact.build(**overrides)
+        title, render = artifact.title, artifact.render
+        kind, hmean = artifact.kind, artifact.hmean
+    with _cli_executor(args) as executor:
+        outcome = _execute(args, scenario, executor, kind=kind,
+                           hmean=hmean, checkpoint=args.checkpoint)
+    stats = dict(outcome.store_stats)
+    if outcome.checkpoint_stats is not None:
+        ckpt = stats["checkpoint"] = outcome.checkpoint_stats
+        print(f"[checkpoint] {ckpt['prefixes']} shared warm-up "
+              f"prefix(es) covering {ckpt['jobs']} job(s): "
+              f"{ckpt['hits']} reused, {ckpt['computed']} computed",
+              file=sys.stderr)
+    if title is None:
+        print(f"# scenario {scenario.name} "
+              f"({len(outcome.compiled.jobs)} jobs, "
+              f"{len(outcome.compiled.points)} grid point(s))")
+        if scenario.description:
+            print(f"# {scenario.description}")
+    else:
+        print(f"# {title}")
+    print(render(outcome))
     if args.store_stats:
         with open(args.store_stats, "w") as handle:
             json.dump({"target": args.target,
@@ -770,10 +728,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(including the shared warm-up prefix stats when active)")
     scenario_run.add_argument(
         "--checkpoint", choices=list(CHECKPOINT_MODES), default=None,
-        help="warm-up checkpoint mode for file scenarios: override what "
-             "the scenario compiled ('auto' for shared_warmup specs); "
-             "'require' fails on a cold checkpoint store (default: keep "
-             "the compiled mode)")
+        help="warm-up checkpoint mode: override what the scenario "
+             "compiled ('auto' for shared_warmup specs); 'require' fails "
+             "on a cold checkpoint store (default: keep the compiled mode)")
     scenario_run.set_defaults(func=_cmd_scenario_run)
 
     checkpoint_parser = sub.add_parser(

@@ -4,12 +4,16 @@
 the paper's metrics, with single-thread Hmean baselines memoised by
 :class:`~repro.harness.runner.BaselineCache`.
 
-:mod:`repro.harness.engine` is the parallel experiment engine:
-declarative :class:`~repro.harness.engine.SimJob` specs executed over a
-pluggable backend (:func:`~repro.harness.engine.run_jobs`, streaming via
-:func:`~repro.harness.engine.run_jobs_streaming`), deterministic for any
-worker count on any backend, with seed-replication statistics through
-:func:`~repro.harness.engine.run_replicated`.
+:mod:`repro.harness.engine` is the experiment engine: every entry
+point compiles its work — declarative
+:class:`~repro.harness.engine.SimJob` specs and the Hmean baselines —
+to one deduplicated :class:`~repro.harness.engine.Campaign`, and
+:func:`~repro.harness.engine.execute`, the only code that talks to the
+stores, the executor and progress, runs it over a pluggable backend,
+deterministic for any worker count on any backend
+(:func:`~repro.harness.engine.run_jobs` and
+:func:`~repro.harness.engine.run_replicated`, with seed-replication
+statistics, are one-campaign shorthands).
 
 :mod:`repro.harness.executors` provides the backends: in-process
 (:class:`~repro.harness.executors.SerialExecutor`), local process pool
@@ -30,8 +34,8 @@ broker-side result-store serving and a stdlib HTTP facade.
 :mod:`repro.harness.scenario` makes whole experiments declarative:
 frozen :class:`~repro.harness.scenario.Scenario` specs (workloads,
 policies, config, budgets, sweep grids) loadable from Python, JSON or
-TOML and compiled deterministically to the engine's job list
-(``repro scenario run FILE``).
+TOML and compiled deterministically to campaign tasks
+(``repro scenario run FILE|KEY``).
 
 :mod:`repro.harness.results` holds the one content-addressed store
 core (:class:`~repro.harness.results.ContentStore`: key, entry format,
@@ -45,10 +49,12 @@ identical output), the warm-up checkpoints
 and the baselines (``baselines/``).
 
 :mod:`repro.harness.experiments` regenerates every table and figure of
-the paper's evaluation section; each driver compiles from a scenario
-spec and takes ``jobs`` / ``executor`` / ``reuse`` parameters (also
-reachable as ``--jobs`` / ``--executor`` / ``--reuse`` on
-``python -m repro`` and ``scripts/run_all_experiments.py``).
+the paper's evaluation section; each artefact is a scenario spec, a
+pure aggregate step and a formatter, and each driver takes ``jobs`` /
+``executor`` / ``reuse`` parameters (also reachable as ``--jobs`` /
+``--executor`` / ``--reuse`` on ``python -m repro`` and
+``scripts/run_all_experiments.py``, which compiles every artefact into
+one campaign).
 """
 
 import importlib
@@ -60,19 +66,18 @@ import importlib
 #: (and asyncio, ssl and http with them) unimported.
 _MODULE_EXPORTS = {
     "engine": (
-        "ReplicatedRun", "SimJob", "derive_seed", "derive_seeds",
-        "ensure_baselines", "ensure_baselines_sweep", "executor_scope",
-        "map_jobs_stored", "parallel_map", "parallel_map_streaming",
-        "replicate_job", "run_job", "run_jobs", "run_jobs_streaming",
-        "run_replicated",
+        "Campaign", "CampaignRun", "ReplicatedRun", "SimJob", "baseline_job",
+        "derive_seed", "derive_seeds", "execute", "replicate_job",
+        "run_job", "run_jobs", "run_replicated",
     ),
     "results": (
         "REUSE_MODES", "ResultStore", "ResultStoreMiss", "cache_key",
         "job_token", "policy_token", "result_store", "source_fingerprint",
     ),
     "scenario": (
-        "CompiledScenario", "Scenario", "ScenarioRun", "SweepAxis",
-        "SweepPoint", "load_scenario", "run_scenario", "save_scenario",
+        "CompiledScenario", "Scenario", "ScenarioRun", "ScenarioTasks",
+        "SweepAxis", "SweepPoint", "load_scenario", "run_scenario",
+        "save_scenario",
         "scenario_from_dict", "scenario_report", "scenario_to_dict",
         "sweep_axis", "sweep_point",
     ),

@@ -1,25 +1,57 @@
-"""Parallel experiment engine: declarative jobs over pluggable backends.
+"""Experiment engine: one campaign of declarative jobs, one ``execute``.
 
-Reproducing the paper end-to-end means simulating dozens of
+Reproducing the paper end-to-end means simulating hundreds of
 policy x workload x configuration combinations, each an independent,
-deterministic, CPU-bound cycle-simulation.  This module turns such a
-sweep into data: a driver describes every run as a :class:`SimJob`,
-submits the list to :func:`run_jobs`, and gets the corresponding
-:class:`~repro.metrics.stats.SimulationResult` list back in submission
-order — computed in-process, on a local process pool, or on remote
-worker machines (see :mod:`repro.harness.executors`), with identical
-results on every backend.
+deterministic, CPU-bound cycle-simulation, plus the single-thread runs
+their Hmean metric divides by.  This module turns all of that into
+data.  Every entry point — the CLI commands, the artefact drivers of
+:mod:`repro.harness.experiments`, ``scripts/run_all_experiments.py``,
+:func:`~repro.harness.runner.evaluate_workload` — compiles its work to
+one :class:`Campaign` and hands it to :func:`execute`, the only code
+that talks to the stores, the executor and progress.  What the caller
+prints is then a pure function of the returned payloads.
+
+Campaigns
+---------
+A campaign is an ordered, deduplicated list of ``(payload kind,
+SimJob)`` tasks:
+
+``"result"``          the run's :class:`~repro.metrics.stats.SimulationResult`
+``"intervals"``       the whole :class:`~repro.harness.runner.IntervalRun`
+                      (recorder included, for timelines)
+``"phase_timeline"``  the run's :class:`~repro.metrics.intervals.PhaseTimeline`
+``"baseline"``        a single-thread IPC, an Hmean denominator
+                      (:func:`baseline_job`)
+
+Tasks are keyed by ``(kind, job_token)`` (see
+:func:`~repro.harness.results.job_token`), so a job two artefacts or
+two grid points both need simulates once, and a baseline — an ordinary
+job — simulates once even when a measured run is the identical job.
+
+:func:`execute` then
+
+1. serves stored payloads: results from the content-addressed
+   :class:`~repro.harness.results.ResultStore` as ``reuse`` says
+   (``"auto"`` serves and fills, ``"require"`` raises on a miss),
+   baselines from the :class:`~repro.harness.runner.BaselineCache` in
+   every mode;
+2. computes each warm-up checkpoint prefix that the checkpoint-enabled
+   jobs still to run need and the
+   :class:`~repro.harness.checkpoints.CheckpointStore` lacks, once (the
+   one barrier);
+3. dispatches every other task in one pass per worker function, on at
+   most one executor (see :mod:`repro.harness.executors`), writing each
+   payload back as it completes.
 
 Determinism
 -----------
 Each job carries its own explicit seed (see :func:`derive_seed` for
 building disjoint per-job seeds from a base seed), and every job
 constructs a fresh simulator, so results depend only on the job
-description — never on scheduling, backend, worker count or completion
-order.  ``run_jobs(jobs, n)`` is therefore bitwise-identical to
-``[run_job(j) for j in jobs]`` for any ``n`` and any executor, and the
-streaming view (:func:`run_jobs_streaming`) reassembles to the same
-list when sorted by index.
+description — never on scheduling, backend, worker count, completion
+order or whether a payload came from a store.  ``run_jobs(jobs, n)`` is
+therefore bitwise-identical to ``[run_job(j) for j in jobs]`` for any
+``n`` and any executor.
 
 Seed replication
 ----------------
@@ -27,59 +59,37 @@ Seed replication
 and wraps the runs in a :class:`ReplicatedRun`, whose metrics are
 :class:`~repro.metrics.stats.ReplicatedResult` summaries (mean, stddev,
 95% CI) — the error bars the paper's single-run point estimates lack.
-
-Baseline sharing
-----------------
-Single-thread baseline runs (the Hmean denominators) are memoised by
-the disk-backed :class:`~repro.harness.runner.BaselineCache`, which is
-process-safe: worker processes and the parent all read and write the
-same on-disk entries, so a baseline is simulated once per sweep rather
-than once per process.  :func:`ensure_baselines` (one seed) and
-:func:`ensure_baselines_sweep` (replication sweeps) precompute missing
-baselines through the backend before a sweep starts.
-
-Result reuse
-------------
-Because jobs are deterministic, a full result can be cached as safely
-as a baseline: with ``reuse="auto"`` the engine serves any job already
-in the content-addressed :class:`~repro.harness.results.ResultStore`
-and dispatches only the misses (``reuse="require"`` asserts a warm
-store).  Hits are resolved before the backend sees a task, so reuse is
-backend-agnostic and never changes output — it only skips simulations.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.harness.executors import Executor, make_executor
+from repro.harness.checkpoints import (
+    job_prefix_token,
+    normalize_checkpoint,
+    resolve_checkpoint_store,
+)
 from repro.harness.results import (
     ResultStore,
+    job_token,
     normalize_reuse,
     resolve_store,
 )
 from repro.harness.runner import (
     DEFAULT_CYCLES,
     DEFAULT_WARMUP,
+    IntervalRun,
     PolicySpec,
     baseline_cache,
+    compute_warmup_checkpoint,
     run_benchmarks,
     run_benchmarks_intervals,
-    single_thread_ipc,
 )
 from repro.harness.warmup import WarmupSpec
+from repro.metrics.intervals import PhaseTimeline
 from repro.metrics.stats import ReplicatedResult, SimulationResult, safe_hmean
 from repro.pipeline.config import SMTConfig
 
@@ -173,155 +183,270 @@ def run_job(job: SimJob) -> SimulationResult:
     way.
     """
     if job.interval_cycles:
-        return run_benchmarks_intervals(
-            list(job.benchmarks), job.policy, job.config, job.cycles,
-            job.warmup, job.seed, interval_cycles=job.interval_cycles,
-            progress_tag=job.tag, checkpoint=job.checkpoint,
-            warmup_policy=job.warmup_policy).result
+        return run_job_intervals(job).result
     return run_benchmarks(list(job.benchmarks), job.policy, job.config,
                           job.cycles, job.warmup, job.seed,
                           checkpoint=job.checkpoint,
                           warmup_policy=job.warmup_policy)
 
 
-def _resolve_executor(executor, max_workers: int) -> Tuple[Executor, bool]:
-    """Executor instance plus whether this call owns (must close) it."""
-    if isinstance(executor, Executor):
-        return executor, False
-    return make_executor(executor, max_workers), True
+def run_job_intervals(job: SimJob) -> IntervalRun:
+    """Execute one interval-mode job, keeping its whole interval run
+    (the worker of ``"intervals"`` tasks)."""
+    return run_benchmarks_intervals(
+        list(job.benchmarks), job.policy, job.config, job.cycles,
+        job.warmup, job.seed, interval_cycles=job.interval_cycles,
+        progress_tag=job.tag, checkpoint=job.checkpoint,
+        warmup_policy=job.warmup_policy)
 
 
-@contextlib.contextmanager
-def executor_scope(executor, max_workers: int) -> Iterator:
-    """Resolve an executor name once for a multi-call driver.
+def run_job_phase_timeline(job: SimJob) -> PhaseTimeline:
+    """Execute one interval-mode job, keeping its recorded phase
+    timeline (the worker of ``"phase_timeline"`` tasks, Table 5's data):
+    the per-cycle fast/slow histogram the interval recorder tracks."""
+    return run_job_intervals(job).recorder.phase_timeline()
 
-    A driver that issues several engine calls (baseline phase, job
-    phase, parameter sweep) would otherwise build — and for ``remote``,
-    spawn a whole worker fleet for — a fresh backend per call when given
-    a name.  Within this scope the name becomes one shared instance,
-    closed on exit; None and instances pass through untouched (None
-    keeps the engine's serial short-circuit, instances stay owned by
-    the caller).
+
+# --------------------------------------------------------------------------
+# Campaigns
+# --------------------------------------------------------------------------
+
+#: Payload kinds a campaign task can ask for; all but ``"baseline"`` are
+#: :class:`~repro.harness.results.ResultStore` kinds.
+TASK_KINDS = ("result", "intervals", "phase_timeline", "baseline")
+
+#: A task's identity: ``(payload kind, job_token)``.
+TaskKey = Tuple[str, str]
+
+
+def baseline_job(benchmark: str, config: Optional[SMTConfig],
+                 cycles: int, warmup: WarmupSpec, seed: int) -> SimJob:
+    """The Hmean baseline of one benchmark as a job: the benchmark alone
+    under ICOUNT on ``config`` (Table 2 when None); its IPC is the
+    result's thread 0."""
+    return SimJob((benchmark,), "ICOUNT", config or SMTConfig(), cycles,
+                  warmup, seed)
+
+
+class Campaign:
+    """An ordered, deduplicated list of simulation tasks.
+
+    ``tasks`` maps each task's :data:`TaskKey` to its job, in the order
+    tasks were first added; adding a task already present is a no-op.
     """
-    if executor is None or isinstance(executor, Executor):
-        yield executor
-        return
-    backend = make_executor(executor, max_workers)
-    try:
-        yield backend
-    finally:
-        backend.close()
+
+    def __init__(self) -> None:
+        self.tasks: Dict[TaskKey, SimJob] = {}
+
+    def add(self, kind: str, job: SimJob) -> TaskKey:
+        """Add one task; returns its key (what payloads are found by)."""
+        if kind not in TASK_KINDS:
+            raise ValueError(f"unknown task kind {kind!r} "
+                             f"(expected one of {TASK_KINDS})")
+        key = (kind, job_token(job))
+        self.tasks.setdefault(key, job)
+        return key
 
 
-def parallel_map(func: Callable, items: Sequence, max_workers: int = 1,
-                 executor=None, progress=None) -> List:
-    """Map a picklable top-level function over items, order-preserving.
+@dataclass
+class CampaignRun:
+    """What :func:`execute` returns.
 
-    The generic sibling of :func:`run_jobs` for drivers whose per-item
-    work is not a plain :class:`SimJob` (e.g. runs that install cycle
-    hooks).  ``executor`` selects the backend: an
-    :class:`~repro.harness.executors.Executor` instance (reused, left
-    open), a name from
-    :data:`~repro.harness.executors.EXECUTOR_NAMES`, or None — which
-    picks a process pool for ``max_workers > 1`` and a plain serial map
-    otherwise.  Results are bitwise-identical on every backend.
-
-    ``progress`` is an optional ``(index, event)`` callback receiving
-    every progress event the item's work emits (interval-mode jobs emit
-    one :class:`~repro.harness.progress.IntervalProgress` per interval);
-    each backend routes worker-side events back to it — in-process
-    directly, process pools over a manager queue, remote workers over
-    the task socket.  Events may arrive from backend threads.
+    Attributes:
+        payloads: every task's payload by :data:`TaskKey` (a baseline's
+            payload is its IPC).
+        store_stats: this call's result-store traffic: ``jobs`` (the
+            distinct result-store tasks; each is looked up once when
+            reuse is on), ``hits``, ``misses`` and ``stores``.
+        checkpoint_stats: when any job opted into checkpointing, the
+            warm-up prefix accounting — ``prefixes`` distinct prefixes
+            covering ``jobs`` jobs still to run, of which ``hits`` were
+            stored and ``computed`` were simulated now; else None.
     """
-    items = list(items)
-    if executor is None and progress is None and \
-            (max_workers <= 1 or len(items) <= 1):
-        return [func(item) for item in items]
-    # A per-call backend never needs more workers than items.
-    backend, owned = _resolve_executor(
-        executor, max(1, min(max_workers, len(items))))
-    try:
-        return backend.map(func, items, progress=progress)
-    finally:
-        if owned:
-            backend.close()
+
+    payloads: Dict[TaskKey, object] = field(default_factory=dict)
+    store_stats: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        ("jobs", "hits", "misses", "stores"), 0))
+    checkpoint_stats: Optional[Dict[str, int]] = None
 
 
-def parallel_map_streaming(func: Callable, items: Sequence,
-                           max_workers: int = 1,
-                           executor=None, progress=None) \
-        -> Iterator[Tuple[int, object]]:
-    """Like :func:`parallel_map`, yielding ``(index, result)`` pairs as
-    items complete (completion order; indices refer to submission order).
+def _worker(kind: str) -> Callable[[SimJob], object]:
+    """The module-level function computing a task kind's payload
+    (picklable by name, so every backend can ship it)."""
+    if kind == "intervals":
+        return run_job_intervals
+    if kind == "phase_timeline":
+        return run_job_phase_timeline
+    return run_job
 
-    Reassembling the pairs by index gives exactly the
-    :func:`parallel_map` list, so streaming consumers trade ordering for
-    latency without giving up determinism.
+
+def _checkpoint_prefix_item(job: SimJob) -> dict:
+    """Worker-side computation of one warm-up prefix checkpoint.
+
+    Module-level so the pool can pickle it.  The worker writes the
+    shared disk store itself, then returns the payload so the parent
+    can mirror it into its in-memory store layer.
     """
-    items = list(items)
-    backend, owned = _resolve_executor(
-        executor, max(1, min(max_workers, len(items))))
-    try:
-        yield from backend.map_unordered(func, items, progress=progress)
-    finally:
-        if owned:
-            backend.close()
+    payload = compute_warmup_checkpoint(
+        list(job.benchmarks),
+        job.warmup_policy if job.warmup_policy is not None else job.policy,
+        job.config, job.warmup, job.seed, job.interval_cycles)
+    resolve_checkpoint_store(None).put(job_prefix_token(job), payload)
+    return payload
 
 
-def _store_partition(jobs: Sequence[SimJob], reuse: str,
-                     store: Optional[ResultStore], kind: str) \
-        -> Tuple[ResultStore, List, List[int]]:
-    """Split jobs into stored results and indices still to compute.
+def _compute_prefixes(jobs: Sequence[SimJob], mapped) -> Dict[str, int]:
+    """Compute the warm-up checkpoints ``jobs`` fork from, once each.
 
-    Returns ``(store, results, missing)`` where ``results`` holds the
-    stored payload (or None) per job and ``missing`` lists the indices
-    to compute.  With ``reuse="require"`` a missing entry raises
-    :class:`~repro.harness.results.ResultStoreMiss` instead.
+    Jobs sharing a :func:`~repro.harness.checkpoints.job_prefix_token`
+    (a sweep compiled with a shared warm-up: one per workload, config,
+    warm-up and seed) group together, and each prefix missing from the
+    checkpoint store is simulated once through ``mapped`` — so every
+    job restores its boundary state instead of re-simulating the
+    common warm-up.  A missing prefix of a ``checkpoint="require"`` job
+    raises :class:`~repro.harness.checkpoints.CheckpointMiss` instead.
     """
-    store = resolve_store(store)
-    results: List = [None] * len(jobs)
-    missing: List[int] = []
-    for index, job in enumerate(jobs):
-        cached = (store.require(job, kind) if reuse == "require"
-                  else store.get(job, kind))
-        if cached is not None:
-            results[index] = cached
-        else:
-            missing.append(index)
-    return store, results, missing
+    groups: Dict[str, List[SimJob]] = {}
+    for job in jobs:
+        token = job_prefix_token(job)
+        if token is not None:
+            groups.setdefault(token, []).append(job)
+    store = resolve_checkpoint_store(None)
+    missing = [token for token in groups if store.get(token) is None]
+    for token in missing:
+        if any(job.checkpoint == "require" for job in groups[token]):
+            store.require(token)
+    for index, payload in mapped(_checkpoint_prefix_item,
+                                 [groups[token][0] for token in missing]):
+        # Mirror the worker's checkpoint into this process's store (the
+        # worker already wrote the disk entry).
+        store.put(missing[index], payload)
+    return {"prefixes": len(groups),
+            "jobs": sum(len(group) for group in groups.values()),
+            "hits": len(groups) - len(missing),
+            "computed": len(missing)}
 
 
-def map_jobs_stored(func: Callable, jobs: Sequence[SimJob], kind: str,
-                    max_workers: int = 1, executor=None, progress=None,
-                    reuse=None, store: Optional[ResultStore] = None) -> List:
-    """Map a job function through the content-addressed result store.
+def execute(campaign: Campaign, jobs: int = 1, executor=None, reuse=None,
+            checkpoint=None, progress=None,
+            store: Optional[ResultStore] = None,
+            run: Optional[CampaignRun] = None) -> CampaignRun:
+    """Run a campaign: serve what is stored, compute the rest once each.
 
-    The reuse-aware generic the store-enabled sweeps share:
-    :func:`run_jobs` uses it with :func:`run_job` and payload kind
-    ``"result"``; drivers that extract other payloads (e.g. Table 5's
-    phase timelines) pass their own module-level ``func`` and ``kind``.
-    Stored payloads are served without dispatching; misses run through
-    :func:`parallel_map` (any backend) and are written back by the
-    caller's process, so reuse works identically on every executor.
-
-    ``reuse`` is ``"off"`` (None), ``"auto"`` or ``"require"`` — see
-    :mod:`repro.harness.results` for the contract.
+    Args:
+        campaign: the tasks.
+        jobs: worker count; ``<= 1`` with no ``executor`` and no
+            ``progress`` runs every task in this process.
+        executor: an :class:`~repro.harness.executors.Executor`
+            instance (used, left open), a name from
+            :data:`~repro.harness.executors.EXECUTOR_NAMES`, or None (a
+            process pool for ``jobs > 1``).  A call builds at most one
+            backend.
+        reuse: result-store mode — ``"off"``/None (compute everything),
+            ``"auto"`` (serve stored payloads, compute and store the
+            rest; never changes output, jobs being deterministic) or
+            ``"require"`` (raise
+            :class:`~repro.harness.results.ResultStoreMiss` on any
+            miss).  Baselines are served from, and written to, the
+            baseline cache whatever the mode.
+        checkpoint: None keeps each job's own warm-up checkpoint mode;
+            ``"off"``/``"auto"``/``"require"`` force that mode on every
+            task but the baselines (see
+            :mod:`repro.harness.checkpoints`).
+        progress: ``(task_index, event)`` callback for the per-interval
+            progress of interval-mode jobs, ``task_index`` being the
+            task's position in the campaign.
+        store: the result store (default: the process-wide instance).
+        run: the :class:`CampaignRun` to fill and return (default: a
+            fresh one).  A caller that must keep the payloads completed
+            before a task raised passes its own.
     """
-    jobs = list(jobs)
     mode = normalize_reuse(reuse)
-    if mode == "off":
-        return parallel_map(func, jobs, max_workers, executor, progress)
-    store, results, missing = _store_partition(jobs, mode, store, kind)
-    if missing:
-        remapped = None
-        if progress is not None:
-            remapped = lambda i, event: progress(missing[i], event)  # noqa: E731
-        computed = parallel_map(func, [jobs[i] for i in missing],
-                                max_workers, executor, remapped)
-        for index, value in zip(missing, computed):
-            store.put(jobs[index], value, kind)
-            results[index] = value
-    return results
+    store = resolve_store(store)
+    run = run if run is not None else CampaignRun()
+    payloads, counts = run.payloads, run.store_stats
+    tasks = campaign.tasks
+    if checkpoint is not None:
+        forced = normalize_checkpoint(checkpoint)
+        forced = None if forced == "off" else forced
+        tasks = {key: job if key[0] == "baseline"
+                 else dataclasses.replace(job, checkpoint=forced)
+                 for key, job in tasks.items()}
+
+    # 1. Serve stored payloads.
+    missing: List[TaskKey] = []
+    for key, job in tasks.items():
+        kind, token = key
+        if kind == "baseline":
+            value = baseline_cache.get(job.benchmarks[0], job.config,
+                                       job.cycles, job.warmup, job.seed)
+        else:
+            counts["jobs"] += 1
+            value = None
+            if mode != "off":
+                lookup = store.require if mode == "require" else store.get
+                value = lookup(job, kind, token)
+                counts["hits" if value is not None else "misses"] += 1
+        if value is None:
+            missing.append(key)
+        else:
+            payloads[key] = value
+
+    backend = None
+    if missing and (executor is not None or progress is not None
+                    or (jobs > 1 and len(missing) > 1)):
+        from repro.harness.executors import make_executor
+
+        # Instances pass through (left open); a backend built here never
+        # needs more workers than tasks.
+        backend = make_executor(executor, max(1, min(jobs, len(missing))))
+
+    def mapped(func, items, on_progress=None):
+        if backend is None:
+            return ((index, func(item)) for index, item in enumerate(items))
+        return backend.map_unordered(func, items, progress=on_progress)
+
+    try:
+        # 2. Warm-up prefixes of the jobs still to run: the one barrier.
+        if any(job.checkpoint for job in tasks.values()):
+            run.checkpoint_stats = _compute_prefixes(
+                [tasks[key] for key in missing if tasks[key].checkpoint],
+                mapped)
+
+        # 3. One pass per worker function; tasks of several kinds that
+        # share a token (a baseline identical to a measured run)
+        # simulate once.
+        passes: Dict[Callable, Dict[str, List[TaskKey]]] = {}
+        for key in missing:
+            passes.setdefault(_worker(key[0]), {}).setdefault(
+                key[1], []).append(key)
+        position = ({key: index for index, key in enumerate(tasks)}
+                    if progress is not None else None)
+        for func, by_token in passes.items():
+            groups = list(by_token.values())
+            on_progress = None
+            if progress is not None:
+                def on_progress(index, event, groups=groups):
+                    progress(position[groups[index][0]], event)
+            for index, value in mapped(
+                    func, [tasks[group[0]] for group in groups], on_progress):
+                for key in groups[index]:
+                    job = tasks[key]
+                    if key[0] == "baseline":
+                        ipc = value.threads[0].ipc
+                        baseline_cache.put(job.benchmarks[0], job.config,
+                                           job.cycles, job.warmup, job.seed,
+                                           ipc)
+                        payloads[key] = ipc
+                        continue
+                    if mode == "auto":
+                        store.put(job, value, key[0], key[1])
+                        counts["stores"] += 1
+                    payloads[key] = value
+    finally:
+        if backend is not None and backend is not executor:
+            backend.close()
+    return run
 
 
 def run_jobs(jobs: Iterable[SimJob], max_workers: int = 1,
@@ -329,60 +454,17 @@ def run_jobs(jobs: Iterable[SimJob], max_workers: int = 1,
              store: Optional[ResultStore] = None) -> List[SimulationResult]:
     """Execute jobs and return their results in submission order.
 
-    Args:
-        jobs: the job list; each job is independent and deterministic.
-        max_workers: worker count; ``<= 1`` runs serially in-process
-            unless ``executor`` names another backend.
-        executor: backend selection, as in :func:`parallel_map`.
-        progress: ``(job_index, event)`` callback for the per-interval
-            progress of interval-mode jobs (see :func:`parallel_map`).
-        reuse: result-store mode — ``"off"``/None (default; compute
-            everything), ``"auto"`` (serve stored results, compute and
-            store misses — never changes output, jobs being
-            deterministic), or ``"require"`` (raise
-            :class:`~repro.harness.results.ResultStoreMiss` on any
-            miss).  Store hits skip the backend entirely, so reuse
-            behaves identically on every executor.
-        store: the :class:`~repro.harness.results.ResultStore` to use
-            (default: the process-wide instance).
+    A one-kind campaign through :func:`execute`: identical jobs in the
+    list simulate once.  ``max_workers``, ``executor``, ``progress``
+    (``(job_index, event)``), ``reuse`` and ``store`` are
+    :func:`execute`'s ``jobs``, ``executor``, ``progress``, ``reuse``
+    and ``store``.
     """
-    return map_jobs_stored(run_job, list(jobs), "result", max_workers,
-                           executor, progress, reuse, store)
-
-
-def run_jobs_streaming(jobs: Iterable[SimJob], max_workers: int = 1,
-                       executor=None, progress=None, reuse=None,
-                       store: Optional[ResultStore] = None) \
-        -> Iterator[Tuple[int, SimulationResult]]:
-    """Execute jobs, yielding ``(index, result)`` as each completes.
-
-    The streaming face of :func:`run_jobs`: drivers that render
-    artefacts incrementally consume results the moment a worker
-    finishes them instead of waiting for the whole sweep.  Sorting the
-    pairs by index reproduces the :func:`run_jobs` list bitwise.  With
-    ``reuse`` enabled, stored results are yielded first (in job order),
-    then the computed misses stream in completion order.
-    """
-    jobs = list(jobs)
-    mode = normalize_reuse(reuse)
-    if mode == "off":
-        yield from parallel_map_streaming(run_job, jobs, max_workers,
-                                          executor, progress)
-        return
-    store_, results, missing = _store_partition(jobs, mode, store, "result")
-    for index, value in enumerate(results):
-        if value is not None:
-            yield index, value
-    if not missing:
-        return
-    remapped = None
-    if progress is not None:
-        remapped = lambda i, event: progress(missing[i], event)  # noqa: E731
-    for position, value in parallel_map_streaming(
-            run_job, [jobs[i] for i in missing], max_workers, executor,
-            remapped):
-        store_.put(jobs[missing[position]], value, "result")
-        yield missing[position], value
+    campaign = Campaign()
+    keys = [campaign.add("result", job) for job in jobs]
+    payloads = execute(campaign, max_workers, executor, reuse,
+                       progress=progress, store=store).payloads
+    return [payloads[key] for key in keys]
 
 
 # --------------------------------------------------------------------------
@@ -462,173 +544,3 @@ def run_replicated(job: SimJob, reps: int, max_workers: int = 1,
     return ReplicatedRun(
         job, run_jobs(replicate_job(job, reps), max_workers, executor,
                       progress, reuse, store))
-
-
-def _baseline_item(item: Tuple[str, SMTConfig, int, "WarmupSpec", int]) \
-        -> float:
-    """Worker-side baseline computation: one :func:`single_thread_ipc`.
-
-    Module-level so the pool can pickle it; delegating to
-    :func:`single_thread_ipc` keeps the baseline recipe (policy, which
-    thread's IPC, cache keying) defined in exactly one place, and lets
-    the worker write the shared disk cache itself.
-    """
-    benchmark, config, cycles, warmup, seed = item
-    return single_thread_ipc(benchmark, config, cycles, warmup, seed)
-
-
-def ensure_baselines(
-    benchmarks: Sequence[str],
-    config: Optional[SMTConfig] = None,
-    cycles: int = DEFAULT_CYCLES,
-    warmup: WarmupSpec = DEFAULT_WARMUP,
-    seed: int = 1,
-    max_workers: int = 1,
-    executor=None,
-) -> Dict[str, float]:
-    """Single-thread IPCs for benchmarks, computing misses in parallel.
-
-    Cache hits (memory or disk) are returned directly; the missing
-    baselines are simulated through the backend and written back to the
-    shared cache, so subsequent :func:`single_thread_ipc` calls — in
-    this or any worker process — hit.
-    """
-    sweep = ensure_baselines_sweep(benchmarks, [seed], config, cycles,
-                                   warmup, max_workers, executor)
-    return {benchmark: ipc for (benchmark, _), ipc in sweep.items()}
-
-
-def ensure_baselines_sweep(
-    benchmarks: Sequence[str],
-    seeds: Sequence[int],
-    config: Optional[SMTConfig] = None,
-    cycles: int = DEFAULT_CYCLES,
-    warmup: WarmupSpec = DEFAULT_WARMUP,
-    max_workers: int = 1,
-    executor=None,
-) -> Dict[Tuple[str, int], float]:
-    """Single-thread IPCs for every (benchmark, seed) pair.
-
-    The replication-aware sibling of :func:`ensure_baselines`: a seed
-    sweep needs the Hmean denominator of each benchmark *per derived
-    seed*, and batching every missing pair through one parallel phase
-    keeps the backend saturated.
-
-    Returns:
-        Mapping from ``(benchmark, seed)`` to that run's IPC.
-    """
-    config = config or SMTConfig()
-    unique = list(dict.fromkeys(benchmarks))
-    unique_seeds = list(dict.fromkeys(seeds))
-    pairs = [(b, s) for s in unique_seeds for b in unique]
-    missing = [(b, s) for b, s in pairs
-               if baseline_cache.get(b, config, cycles, warmup, s) is None]
-    if missing and (max_workers > 1 or executor is not None):
-        items = [(b, config, cycles, warmup, s) for b, s in missing]
-        for (benchmark, seed), ipc in zip(
-                missing,
-                parallel_map(_baseline_item, items, max_workers, executor)):
-            # Mirror the worker's result into this process's cache (the
-            # worker already wrote the disk entry; this fills memory and
-            # covers a disk-less environment).
-            baseline_cache.put(benchmark, config, cycles, warmup, seed, ipc)
-    return {(b, s): single_thread_ipc(b, config, cycles, warmup, s)
-            for b, s in pairs}
-
-
-# --------------------------------------------------------------------------
-# Warm-up prefix sharing
-# --------------------------------------------------------------------------
-
-def factor_prefixes(jobs: Sequence[SimJob]) -> Dict[str, List[int]]:
-    """Group jobs by the warm-up prefix state they can fork from.
-
-    Returns a mapping from each distinct
-    :func:`~repro.harness.checkpoints.prefix_token` to the indices of
-    the jobs sharing it (jobs with no checkpointable prefix — a fixed
-    warm-up of zero cycles — are omitted).  A sweep compiled with a
-    shared warm-up policy collapses to one prefix per
-    (workload, config, warm-up, seed) combination: the sweep's common
-    prefix executes once, the divergent measured suffixes fan out.
-    """
-    from repro.harness.checkpoints import job_prefix_token
-
-    groups: Dict[str, List[int]] = {}
-    for index, job in enumerate(jobs):
-        token = job_prefix_token(job)
-        if token is not None:
-            groups.setdefault(token, []).append(index)
-    return groups
-
-
-def _checkpoint_prefix_item(job: SimJob) -> dict:
-    """Worker-side computation of one warm-up prefix checkpoint.
-
-    Module-level so the pool can pickle it.  The worker writes the
-    shared disk store itself (like :func:`_baseline_item` does for
-    baselines), then returns the payload so the parent can mirror it
-    into its in-memory store layer.
-    """
-    from repro.harness.checkpoints import (
-        job_prefix_token,
-        resolve_checkpoint_store,
-    )
-    from repro.harness.runner import compute_warmup_checkpoint
-
-    payload = compute_warmup_checkpoint(
-        list(job.benchmarks),
-        job.warmup_policy if job.warmup_policy is not None else job.policy,
-        job.config, job.warmup, job.seed, job.interval_cycles)
-    resolve_checkpoint_store(None).put(job_prefix_token(job), payload)
-    return payload
-
-
-def ensure_checkpoints(jobs: Sequence[SimJob], max_workers: int = 1,
-                       executor=None, store=None) -> Dict[str, int]:
-    """Precompute the warm-up checkpoints a job list will fork from.
-
-    The prefix-sharing phase of a compiled sweep: jobs that opted into
-    checkpointing (``job.checkpoint`` set) are grouped by
-    :func:`factor_prefixes`, and each *missing* prefix is simulated
-    exactly once through the backend — so when :func:`run_jobs`
-    dispatches the sweep afterwards, every job restores its shared
-    boundary state instead of re-simulating the common warm-up.
-
-    Returns the phase's accounting: ``prefixes`` distinct warm-up
-    prefixes covering ``jobs`` checkpoint-enabled jobs, of which
-    ``hits`` were already stored and ``computed`` were simulated now.
-
-    A job with ``checkpoint="require"`` asserts its prefix is already
-    stored: a missing prefix raises
-    :class:`~repro.harness.checkpoints.CheckpointMiss` (with the
-    nearest-entry diagnostic) instead of being computed.
-    """
-    from repro.harness.checkpoints import resolve_checkpoint_store
-
-    jobs = list(jobs)
-    store = resolve_checkpoint_store(store)
-    enabled = [i for i, job in enumerate(jobs) if job.checkpoint]
-    groups = factor_prefixes([jobs[i] for i in enabled])
-    representatives = {token: jobs[enabled[indices[0]]]
-                       for token, indices in groups.items()}
-    missing = [token for token in representatives
-               if store.get(token) is None]
-    for token in missing:
-        if any(jobs[enabled[i]].checkpoint == "require"
-               for i in groups[token]):
-            store.require(token)
-    if missing:
-        payloads = parallel_map(_checkpoint_prefix_item,
-                                [representatives[token] for token in missing],
-                                max_workers, executor)
-        for token, payload in zip(missing, payloads):
-            # Mirror the worker's checkpoint into this process's store
-            # (the worker already wrote the disk entry; this fills the
-            # memory layer and covers a disk-less environment).
-            store.put(token, payload)
-    return {
-        "prefixes": len(groups),
-        "jobs": sum(len(indices) for indices in groups.values()),
-        "hits": len(groups) - len(missing),
-        "computed": len(missing),
-    }

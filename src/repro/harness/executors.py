@@ -38,8 +38,8 @@ never on scheduling — :meth:`Executor.map` is bitwise-identical across
 backends and worker counts; only completion *order* (the streaming view
 exposed by :meth:`Executor.map_unordered`) differs.  Executors are
 reusable across calls and thread-safe, so one instance can serve several
-concurrent sweeps (``scripts/run_all_experiments.py`` streams every
-artefact through a single shared backend).
+sweeps; the engine's :func:`~repro.harness.engine.execute` builds at
+most one per campaign.
 """
 
 from __future__ import annotations
@@ -106,16 +106,6 @@ class Executor(abc.ABC):
                                                 progress=progress):
             results[index] = result
         return results
-
-    def warm_up(self) -> None:
-        """Start any backend worker processes now, from this thread.
-
-        Call before handing the executor to multiple threads: forking
-        pool workers later, from a multithreaded process, risks the
-        classic fork-with-threads deadlock (a child inheriting a lock
-        some other thread held at fork time).  No-op for backends whose
-        workers already exist or that have none.
-        """
 
     def close(self) -> None:
         """Release backend resources; the executor is unusable after."""
@@ -218,20 +208,6 @@ class ProcessExecutor(Executor):
                     self._failed = True
                     return None
             return self._pool
-
-    def warm_up(self) -> None:
-        """Fork all pool workers now (see :meth:`Executor.warm_up`).
-
-        Submits one short sleep per worker slot: the sleeps keep every
-        already-forked worker busy, so each submission forks a fresh
-        process until the pool is full — all from the calling thread.
-        """
-        pool = self._acquire_pool()
-        if pool is not None:
-            from concurrent.futures import wait
-
-            wait([pool.submit(time.sleep, 0.2)
-                  for _ in range(self.max_workers)])
 
     def map_unordered(self, func: Callable, items: Sequence,
                       progress=None) -> Iterator[Tuple[int, object]]:

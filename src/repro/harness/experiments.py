@@ -1,16 +1,21 @@
 """Experiment drivers regenerating every table and figure of the paper.
 
-Each paper artefact is a declarative :class:`~repro.harness.scenario.Scenario`
-spec (the ``*_scenario`` builders below) compiled to the engine's job
-list and aggregated by a small driver function; :data:`ARTIFACTS` is
-the declarative registry — key, title, scenario builder, renderer —
-that ``repro scenario list`` and ``scripts/run_all_experiments.py``
-iterate.  The drivers return plain data structures (lists of rows) so
-tests, benchmarks and examples can all consume them; ``format_*``
-helpers render them as the paper lays them out.  Cycle budgets are
-parameters: the defaults keep a full regeneration tractable in pure
-Python, and every driver accepts larger budgets for lower-variance
-runs.
+Each paper artefact is three pieces: a declarative
+:class:`~repro.harness.scenario.Scenario` spec (the ``*_scenario``
+builders below), an *aggregate* step turning the scenario's outcome
+(:class:`~repro.harness.scenario.ScenarioRun`: compiled jobs, their
+payloads, the Hmean baselines) into plain rows, and a ``format_*``
+helper rendering the rows as the paper lays them out.  Nothing here
+runs a job: a driver compiles its scenario and calls
+:func:`~repro.harness.scenario.run_scenario` once — one campaign, one
+:func:`~repro.harness.engine.execute` — and the aggregate and format
+steps are pure.  :data:`ARTIFACTS` is the declarative registry — key,
+title, scenario builder, payload kind, aggregate, formatter — that
+``repro scenario run KEY``, ``repro scenario list`` and
+``scripts/run_all_experiments.py`` (which compiles every artefact into
+one shared campaign) iterate.  Cycle budgets are parameters: the
+defaults keep a full regeneration tractable in pure Python, and every
+driver accepts larger budgets for lower-variance runs.
 
 Every driver accepts a ``jobs`` parameter (worker count, default
 serial), an ``executor`` parameter selecting the backend — an
@@ -27,8 +32,8 @@ policy-comparison drivers additionally take ``reps``: seed
 replications via :func:`~repro.harness.engine.derive_seed` that turn
 each reported metric into a mean with a 95% confidence interval
 (:class:`~repro.metrics.stats.ReplicatedResult`).  Single-thread Hmean
-baselines are shared across processes through the disk-backed baseline
-cache.
+baselines are tasks of the same campaign, served from and written to
+the disk-backed baseline cache.
 
 Experiment-to-paper map:
 
@@ -49,26 +54,18 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dcra import DcraConfig
 from repro.core.sharing import factor_names_for_memory_latency
-from repro.harness.engine import (
-    SimJob,
-    derive_seeds,
-    ensure_baselines_sweep,
-    executor_scope,
-    map_jobs_stored,
-    run_jobs,
-)
-from repro.harness.runner import (
-    PolicySpec,
-    improvement_pct,
-    run_benchmarks_intervals,
-)
+from repro.harness.runner import PolicySpec, improvement_pct
 from repro.harness.scenario import (
+    GridPoint,
     Scenario,
+    ScenarioRun,
     SweepAxis,
+    run_scenario,
     sweep_axis,
     sweep_point,
 )
@@ -76,8 +73,7 @@ from repro.harness.warmup import WarmupSpec
 from repro.metrics.intervals import PhaseTimeline
 from repro.metrics.stats import ReplicatedResult, safe_hmean
 from repro.pipeline.config import SMTConfig
-from repro.trace.profiles import ALL_BENCHMARKS, ILP_BENCHMARKS, MEM_BENCHMARKS, get_profile
-from repro.trace.workloads import workload_groups
+from repro.trace.profiles import ALL_BENCHMARKS, get_profile
 
 #: Workload cells evaluated in Figures 4 and 5 (paper Section 4).
 ALL_CELLS: Tuple[Tuple[int, str], ...] = tuple(
@@ -203,16 +199,22 @@ def figure2_resource_sensitivity(
     resource_names = list(resources or FIG2_RESOURCES)
     scenario = figure2_scenario(cycles, warmup, fractions, resource_names,
                                 seed)
-    compiled = scenario.compile()
-    results = run_jobs(compiled.jobs, jobs, executor, reuse=reuse)
+    return _figure2_rows(run_scenario(scenario, jobs, executor, reuse),
+                         resource_names, fractions)
+
+
+def _figure2_rows(outcome: ScenarioRun, resources: Sequence[str],
+                  fractions: Sequence[float]) -> List[Figure2Row]:
+    """Mean IPC relative to the full-resource point, per (resource,
+    fraction), walking :func:`figure2_scenario`'s grid in order."""
     per_point: Dict[int, Dict[str, float]] = {}
-    for meta, result in zip(compiled.meta, results):
+    for meta, result in zip(outcome.compiled.meta, outcome.results):
         per_point.setdefault(meta.point, {})[
             meta.workload.benchmarks[0]] = result.threads[0].ipc
 
     rows: List[Figure2Row] = []
     position = 0
-    for resource in resource_names:
+    for resource in resources:
         benchmarks = FIG2_RESOURCES[resource]
         full = per_point[position]
         position += 1
@@ -289,11 +291,12 @@ def table3_miss_rates(
 ) -> List[Table3Row]:
     """Regenerate Table 3: single-thread L2 miss rate per benchmark."""
     scenario = table3_scenario(cycles, warmup, benchmarks, seed)
-    compiled = scenario.compile()
+    return _table3_rows(run_scenario(scenario, jobs, executor, reuse))
+
+
+def _table3_rows(outcome: ScenarioRun) -> List[Table3Row]:
     rows = []
-    for meta, result in zip(compiled.meta,
-                            run_jobs(compiled.jobs, jobs, executor,
-                                     reuse=reuse)):
+    for meta, result in zip(outcome.compiled.meta, outcome.results):
         name = meta.workload.benchmarks[0]
         profile = get_profile(name)
         rows.append(Table3Row(
@@ -357,21 +360,6 @@ def table5_scenario(
         interval_cycles=interval_cycles)
 
 
-def _job_phase_timeline(job: SimJob) -> PhaseTimeline:
-    """Recorded phase timeline of one compiled Table 5 job.
-
-    Module-level (not a closure) so the engine can ship it to worker
-    processes; the payload is store-reusable under the
-    ``"phase_timeline"`` kind.  The phase data is the per-cycle
-    fast/slow histogram the interval recorder tracks natively — no
-    driver-side cycle hooks or ad-hoc counters.
-    """
-    run = run_benchmarks_intervals(
-        list(job.benchmarks), job.policy, job.config, job.cycles,
-        job.warmup, job.seed, interval_cycles=job.interval_cycles)
-    return run.recorder.phase_timeline()
-
-
 def table5_phase_distribution(
     cycles: int = 20_000,
     warmup: WarmupSpec = 4_000,
@@ -384,24 +372,21 @@ def table5_phase_distribution(
     """Regenerate Table 5: % of cycles 2-thread workloads spend with both
     threads slow, one slow one fast, or both fast (under DCRA).
 
-    Built on the interval recorder's :class:`PhaseTimeline`: each
-    workload's run yields its phase history, the four groups of a cell
-    merge cycle-for-cycle, and the row is that merged timeline's
-    two-thread split.  ``table5_timelines`` exposes the merged timelines
-    themselves for time-resolved views (e.g. the CLI's ASCII charts).
+    Built on the interval recorder's :class:`PhaseTimeline` (payload
+    kind ``"phase_timeline"``): each workload's run yields its phase
+    history, the four groups of a cell merge cycle-for-cycle, and the
+    row is that merged timeline's two-thread split.
+    ``table5_timelines`` exposes the merged timelines themselves for
+    time-resolved views (e.g. the CLI's ASCII charts).
     """
-    rows = []
-    for wtype, timeline in table5_timelines(cycles, warmup, seed, jobs,
-                                            executor, interval_cycles,
-                                            reuse):
-        slow_slow, mixed, fast_fast = timeline.two_thread_split()
-        rows.append(Table5Row(
-            wtype=wtype,
-            slow_slow_pct=slow_slow,
-            mixed_pct=mixed,
-            fast_fast_pct=fast_fast,
-        ))
-    return rows
+    scenario = table5_scenario(cycles, warmup, seed, interval_cycles)
+    return _table5_rows(run_scenario(scenario, jobs, executor, reuse,
+                                     kind="phase_timeline"))
+
+
+def _table5_rows(outcome: ScenarioRun) -> List[Table5Row]:
+    return [Table5Row(wtype, *timeline.two_thread_split())
+            for wtype, timeline in _merged_timelines(outcome)]
 
 
 def table5_timelines(
@@ -415,13 +400,16 @@ def table5_timelines(
 ) -> List[Tuple[str, PhaseTimeline]]:
     """Merged per-cell phase timelines behind Table 5, one per type."""
     scenario = table5_scenario(cycles, warmup, seed, interval_cycles)
-    compiled = scenario.compile()
-    timelines = map_jobs_stored(_job_phase_timeline, compiled.jobs,
-                                "phase_timeline", jobs, executor,
-                                reuse=reuse)
+    return _merged_timelines(run_scenario(scenario, jobs, executor, reuse,
+                                          kind="phase_timeline"))
+
+
+def _merged_timelines(outcome: ScenarioRun) \
+        -> List[Tuple[str, PhaseTimeline]]:
     return [
         (wtype, PhaseTimeline.merge(
-            [timeline for meta, timeline in zip(compiled.meta, timelines)
+            [timeline for meta, timeline in zip(outcome.compiled.meta,
+                                                outcome.results)
              if meta.workload.wtype == wtype]))
         for wtype in _TABLE5_WTYPES
     ]
@@ -481,89 +469,45 @@ def comparison_scenario(
         reps=reps, interval_cycles=interval_cycles)
 
 
-def _scenario_comparison(
-    scenario: Scenario,
-    cells: Sequence[Tuple[int, str]],
-    jobs: int = 1,
-    backend=None,
-    progress=None,
-    reuse=None,
-) -> List[CellResult]:
-    """Run one concrete (no-sweep) comparison scenario and aggregate.
+def _comparison_cells(outcome: ScenarioRun,
+                      point: int = 0) -> List[CellResult]:
+    """Aggregate one grid point of a comparison scenario per cell.
 
-    The shared core behind :func:`compare_policies` and the per-point
-    aggregation of the Figure 6/7 sweeps: single-thread baselines
-    first, then one engine call for the compiled jobs, then the
-    historical per-cell aggregation (four groups averaged, Hmean per
-    replication against that replication's own baselines).  Results
-    are looked up through the compiled job provenance
-    (:class:`~repro.harness.scenario.JobMeta`), so a ``cells`` list
-    out of sync with ``scenario.workloads`` is a loud error, never a
-    silent misattribution.
+    The shared core behind :func:`compare_policies` and the Figure 6/7
+    sweeps: per replication, each policy's throughput and Hmean (against
+    that replication's own baselines) averaged over the four groups of
+    a cell; across replications, the mean plus the spread.  Cells and
+    policies keep the compiled order.
     """
-    config = scenario.config or SMTConfig()
-    reps = scenario.reps
-    seeds = derive_seeds(scenario.seed, reps)
-    cell_workloads = [(num_threads, wtype,
-                       list(workload_groups(num_threads, wtype)))
-                      for num_threads, wtype in cells]
-    all_benchmarks = [b
-                      for _, _, workloads in cell_workloads
-                      for workload in workloads
-                      for b in workload.benchmarks]
-    compiled = scenario.compile()
-    singles = ensure_baselines_sweep(all_benchmarks, seeds, config,
-                                     scenario.cycles, scenario.warmup,
-                                     max_workers=jobs, executor=backend)
-    results = run_jobs(compiled.jobs, jobs, backend, progress, reuse)
-    by_key = {(meta.rep, meta.workload, meta.policy_index): result
-              for meta, result in zip(compiled.meta, results)}
-
-    def result_for(rep: int, workload, policy_index: int):
-        try:
-            return by_key[(rep, workload, policy_index)]
-        except KeyError:
-            raise ValueError(
-                f"scenario {scenario.name!r} compiled no job for "
-                f"{workload.name} (cells out of sync with "
-                f"scenario.workloads?)") from None
-
-    # Per replication, the historical per-cell aggregation; keys appear
-    # in (cell order, policy completion order), preserved below.
-    per_rep: List[Dict[Tuple[int, str, str], Tuple[float, float]]] = []
-    for rep, rep_seed in enumerate(seeds):
-        cell_metrics: Dict[Tuple[int, str, str], Tuple[float, float]] = {}
-        for num_threads, wtype, workloads in cell_workloads:
-            sums: Dict[str, List[float]] = {}
-            for workload in workloads:
-                workload_singles = [singles[(b, rep_seed)]
-                                    for b in workload.benchmarks]
-                for policy_index in range(len(scenario.policies)):
-                    result = result_for(rep, workload, policy_index)
-                    entry = sums.setdefault(result.policy, [0.0, 0.0])
-                    entry[0] += result.throughput / 4.0
-                    hmean = safe_hmean(result.ipcs, workload_singles,
-                                       workload.name)
-                    entry[1] += hmean / 4.0
-            for name, (throughput, hmean) in sums.items():
-                cell_metrics[(num_threads, wtype, name)] = (throughput,
-                                                            hmean)
-        per_rep.append(cell_metrics)
+    # One run per (replication, workload, policy), even when a cell is
+    # selected twice.
+    runs = {(meta.rep, meta.workload, meta.policy_index): (meta, result)
+            for meta, result in zip(outcome.compiled.meta, outcome.results)
+            if meta.point == point}
+    per_rep: Dict[int, Dict[Tuple[int, str, str], List[float]]] = {}
+    for meta, result in runs.values():
+        workload = meta.workload
+        singles = [outcome.singles[(point, b, meta.seed)]
+                   for b in workload.benchmarks]
+        entry = per_rep.setdefault(meta.rep, {}).setdefault(
+            (workload.num_threads, workload.wtype, result.policy),
+            [0.0, 0.0])
+        entry[0] += result.throughput / 4.0
+        entry[1] += safe_hmean(result.ipcs, singles, workload.name) / 4.0
+    reps = [per_rep[rep] for rep in sorted(per_rep)]
 
     results: List[CellResult] = []
-    for num_threads, wtype, name in per_rep[0]:
-        throughputs = [rep[(num_threads, wtype, name)][0] for rep in per_rep]
-        hmeans = [rep[(num_threads, wtype, name)][1] for rep in per_rep]
-        if reps > 1:
+    for key in reps[0]:
+        throughputs = [rep[key][0] for rep in reps]
+        hmeans = [rep[key][1] for rep in reps]
+        if len(reps) > 1:
             throughput_stats = ReplicatedResult.from_values(throughputs)
             hmean_stats = ReplicatedResult.from_values(hmeans)
         else:
             throughput_stats = hmean_stats = None
         results.append(CellResult(
-            num_threads, wtype, name,
-            sum(throughputs) / len(throughputs),
-            sum(hmeans) / len(hmeans),
-            throughput_stats, hmean_stats))
+            *key, sum(throughputs) / len(throughputs),
+            sum(hmeans) / len(hmeans), throughput_stats, hmean_stats))
     return results
 
 
@@ -584,9 +528,9 @@ def compare_policies(
     """Evaluate policies over workload cells, averaging the four groups.
 
     This is the driver behind Figures 4, 5, 6 and 7.  The sweep is a
-    :func:`comparison_scenario` compiled to two engine phases: the
-    single-thread Hmean baselines of every benchmark involved, then one
-    job per (replication, workload, policy).  Within a replication all
+    :func:`comparison_scenario` compiled to one campaign: one job per
+    (replication, workload, policy) plus the single-thread Hmean
+    baseline of every benchmark involved.  Within a replication all
     jobs share one seed so every policy sees identical instruction
     streams; with ``reps > 1`` the whole comparison is repeated per
     derived seed (:func:`derive_seed`) and each cell reports the mean
@@ -610,11 +554,8 @@ def compare_policies(
     """
     scenario = comparison_scenario(policies, cells, config, cycles,
                                    warmup, seed, reps, interval_cycles)
-    # One backend for both engine phases (a named 'remote' executor
-    # spawns its worker fleet once, not once per phase).
-    with executor_scope(executor, jobs) as backend:
-        return _scenario_comparison(scenario, cells, jobs, backend,
-                                    progress, reuse)
+    return _comparison_cells(run_scenario(scenario, jobs, executor, reuse,
+                                          progress, hmean=True))
 
 
 @dataclass
@@ -680,10 +621,8 @@ def figure4_dcra_vs_static(
 ) -> List[ImprovementRow]:
     """Regenerate Figure 4: DCRA improvement over SRA per workload cell."""
     scenario = figure4_scenario(cells, cycles, warmup, seed, reps)
-    with executor_scope(executor, jobs) as backend:
-        results = _scenario_comparison(scenario, cells, jobs, backend,
-                                       reuse=reuse)
-    return improvements_over(results)
+    return improvements_over(_comparison_cells(
+        run_scenario(scenario, jobs, executor, reuse, hmean=True)))
 
 
 def figure5_scenario(
@@ -711,9 +650,8 @@ def figure5_policy_comparison(
 ) -> List[CellResult]:
     """Regenerate Figure 5: throughput and Hmean for the fetch policies."""
     scenario = figure5_scenario(cells, cycles, warmup, seed, reps)
-    with executor_scope(executor, jobs) as backend:
-        return _scenario_comparison(scenario, cells, jobs, backend,
-                                    reuse=reuse)
+    return _comparison_cells(
+        run_scenario(scenario, jobs, executor, reuse, hmean=True))
 
 
 def format_improvements(rows: Sequence[ImprovementRow]) -> str:
@@ -786,14 +724,8 @@ def _mean_hmean_improvements(results: Sequence[CellResult],
     return {name: sum(vals) / len(vals) for name, vals in sums.items()}
 
 
-def _sweep_rows(
-    scenario: Scenario,
-    cells: Sequence[Tuple[int, str]],
-    parameter_of: Callable[[object], int],
-    jobs: int = 1,
-    executor=None,
-    reuse=None,
-) -> List[SweepRow]:
+def _sweep_rows(outcome: ScenarioRun,
+                parameter_of: Callable[[GridPoint], int]) -> List[SweepRow]:
     """Aggregate a swept comparison scenario into Figure 6/7 rows.
 
     Every grid point is one full policy comparison (its own
@@ -801,14 +733,20 @@ def _sweep_rows(
     point to the integer the x-axis plots.
     """
     rows: List[SweepRow] = []
-    with executor_scope(executor, jobs) as backend:
-        for point in scenario.grid_points():
-            results = _scenario_comparison(point.scenario, cells, jobs,
-                                           backend, reuse=reuse)
-            improvements = _mean_hmean_improvements(results)
-            for baseline, value in sorted(improvements.items()):
-                rows.append(SweepRow(parameter_of(point), baseline, value))
+    for point in outcome.compiled.points:
+        improvements = _mean_hmean_improvements(
+            _comparison_cells(outcome, point.index))
+        for baseline, value in sorted(improvements.items()):
+            rows.append(SweepRow(parameter_of(point), baseline, value))
     return rows
+
+
+def _registers(point: GridPoint) -> int:
+    return point.get("config.registers")
+
+
+def _memory_latency(point: GridPoint) -> int:
+    return point.get("config.latencies")[0]
 
 
 def figure6_scenario(
@@ -845,9 +783,9 @@ def figure6_register_sweep(
     """Regenerate Figure 6: Hmean improvement vs register file size."""
     scenario = figure6_scenario(register_sizes, cells, cycles, warmup,
                                 seed, reps)
-    return _sweep_rows(scenario, cells,
-                       lambda point: point.get("config.registers"),
-                       jobs, executor, reuse)
+    return _sweep_rows(
+        run_scenario(scenario, jobs, executor, reuse, hmean=True),
+        _registers)
 
 
 # --------------------------------------------------------------------------
@@ -915,9 +853,9 @@ def figure7_latency_sweep(
     """Regenerate Figure 7: Hmean improvement vs memory latency."""
     scenario = figure7_scenario(latencies, cells, cycles, warmup, seed,
                                 reps)
-    return _sweep_rows(scenario, cells,
-                       lambda point: point.get("config.latencies")[0],
-                       jobs, executor, reuse)
+    return _sweep_rows(
+        run_scenario(scenario, jobs, executor, reuse, hmean=True),
+        _memory_latency)
 
 
 def format_sweep(rows: Sequence[SweepRow], parameter_name: str) -> str:
@@ -971,33 +909,28 @@ def text52_frontend_and_mlp(
     """Measure the Section 5.2 claims: FLUSH++ fetches ~2x more than DCRA
     while DCRA overlaps more L2 misses (memory parallelism)."""
     scenario = text52_scenario(cells, cycles, warmup, seed)
-    compiled = scenario.compile()
-    results = run_jobs(compiled.jobs, jobs, executor, reuse=reuse)
-    by_key: Dict[Tuple[int, str, int, int], object] = {}
-    for meta, result in zip(compiled.meta, results):
-        workload = meta.workload
-        by_key[(workload.num_threads, workload.wtype, workload.group,
-                meta.policy_index)] = result
+    return _text52_rows(run_scenario(scenario, jobs, executor, reuse))
 
-    rows = []
-    for num_threads, wtype in cells:
-        for policy_index, policy in enumerate(scenario.policies):
-            fetched = committed = 0
-            overlap = 0.0
-            for workload in workload_groups(num_threads, wtype):
-                result = by_key[(num_threads, wtype, workload.group,
-                                 policy_index)]
-                fetched += result.total_fetched
-                committed += result.total_committed
-                overlap += result.avg_l2_overlap / 4.0
-            rows.append(Text52Row(
-                num_threads=num_threads,
-                wtype=wtype,
-                policy=policy,
-                fetched_per_commit=fetched / max(committed, 1),
-                avg_l2_overlap=overlap,
-            ))
-    return rows
+
+def _text52_rows(outcome: ScenarioRun) -> List[Text52Row]:
+    """Per (cell, policy): fetched/committed over the four groups and
+    the group-averaged L2-miss overlap, in compiled order."""
+    sums: Dict[Tuple[int, str, int], List] = {}
+    for meta, result in zip(outcome.compiled.meta, outcome.results):
+        workload = meta.workload
+        entry = sums.setdefault(
+            (workload.num_threads, workload.wtype, meta.policy_index),
+            [0, 0, 0.0])
+        entry[0] += result.total_fetched
+        entry[1] += result.total_committed
+        entry[2] += result.avg_l2_overlap / 4.0
+    policies = outcome.compiled.scenario.policies
+    return [Text52Row(num_threads=num_threads, wtype=wtype,
+                      policy=policies[policy_index],
+                      fetched_per_commit=fetched / max(committed, 1),
+                      avg_l2_overlap=overlap)
+            for (num_threads, wtype, policy_index),
+            (fetched, committed, overlap) in sums.items()]
 
 
 def format_text52(rows: Sequence[Text52Row]) -> str:
@@ -1014,49 +947,64 @@ def format_text52(rows: Sequence[Text52Row]) -> str:
 # The paper-artefact registry (the declarative scenario suite)
 # --------------------------------------------------------------------------
 
+#: Scenario fields every artefact takes from the command line, and the
+#: extra ones the replicated (and interval-capable) artefacts take.
+BUDGET_KNOBS = ("cycles", "warmup", "seed")
+REPLICATED_KNOBS = BUDGET_KNOBS + ("reps",)
+
+
 @dataclass(frozen=True)
 class ArtifactDef:
-    """One paper artefact: its scenario spec and how to render it.
+    """One paper artefact: its scenario spec, and how to render it.
 
     Attributes:
         key: short identifier (``fig5``, ``table3``, ...) — what
             ``repro scenario run KEY`` and ``repro scenario list`` use.
         title: section heading for reports.
-        scenario: zero-argument builder of the full-budget spec — the
-            *same* budgets and policies ``render`` runs, so saving the
-            built scenario to a file and running the file compiles the
-            identical job list as ``repro scenario run KEY``.  The two
-            routes also share store entries, with one exception:
-            ``table5``'s renderer stores phase timelines (payload kind
-            ``"phase_timeline"``) while the generic file route stores
-            plain results, and the kind is part of the store key.
-        render: renderer producing the artefact's formatted text;
-            keyword arguments ``jobs``, ``executor``, ``reps``,
-            ``reuse``, ``warmup``/``cycles``/``seed`` (None = the
-            artefact's published budget) and ``interval_cycles`` are
-            accepted by every entry (artefacts without replication or
-            interval knobs ignore ``reps`` / ``interval_cycles``).
+        scenario: zero-argument builder of the full-budget spec, so
+            saving the built scenario to a file and running the file
+            compiles the identical job list as ``repro scenario run
+            KEY``.  The two routes also share store entries, with one
+            exception: ``table5`` asks for phase timelines (payload
+            kind ``"phase_timeline"``) while the generic file route
+            stores plain results, and the kind is part of the store key.
+        aggregate: the outcome's rows (a pure function of the
+            :class:`~repro.harness.scenario.ScenarioRun`).
+        format: the rows as the artefact's text.
+        kind: the payload kind each compiled job yields.
+        hmean: whether the outcome needs the single-thread baselines.
+        knobs: the scenario fields a caller may override (see
+            :meth:`build`); the others keep the published values.
     """
 
     key: str
     title: str
     scenario: Callable[[], Scenario]
-    render: Callable[..., str]
+    aggregate: Callable[[ScenarioRun], object]
+    format: Callable[[object], str]
+    kind: str = "result"
+    hmean: bool = False
+    knobs: Tuple[str, ...] = BUDGET_KNOBS
 
+    def build(self, **overrides) -> Scenario:
+        """The published spec with the given field overrides applied;
+        None values and fields outside :attr:`knobs` are ignored."""
+        return dataclasses.replace(self.scenario(), **{
+            name: value for name, value in overrides.items()
+            if name in self.knobs and value is not None})
 
-def _pick(value, default):
-    """A CLI override when given, the artefact's published default else."""
-    return default if value is None else value
+    def render(self, outcome: ScenarioRun) -> str:
+        """The artefact's text from its scenario's outcome."""
+        return self.format(self.aggregate(outcome))
 
 
 #: Full-regeneration budgets.  The 9-cell comparison runs at
-#: FULL_BUDGET_*; the sensitivity sweeps and Table 5 at SWEEP_BUDGET_*
-#: (shared by the renderers below and the registry's scenario
-#: builders, so both routes compile identical jobs).
+#: FULL_BUDGET_*; the sensitivity sweeps and Table 5 at SWEEP_BUDGET_*.
 FULL_BUDGET_CYCLES = 24_000
 FULL_BUDGET_WARMUP = 5_000
 SWEEP_BUDGET_CYCLES = 20_000
 SWEEP_BUDGET_WARMUP = 4_000
+_SWEEP_BUDGET = dict(cycles=SWEEP_BUDGET_CYCLES, warmup=SWEEP_BUDGET_WARMUP)
 
 
 def figures45_scenario(
@@ -1073,41 +1021,8 @@ def figures45_scenario(
         name="figures45-full-comparison")
 
 
-def _render_figure2(jobs=1, executor=None, reps=1, reuse=None,
-                    warmup=None, interval_cycles=None, cycles=None,
-                    seed=None) -> str:
-    return format_figure2(figure2_resource_sensitivity(
-        cycles=_pick(cycles, 12_000), warmup=_pick(warmup, 3_000),
-        seed=_pick(seed, 7), jobs=jobs, executor=executor, reuse=reuse))
-
-
-def _render_table3(jobs=1, executor=None, reps=1, reuse=None,
-                   warmup=None, interval_cycles=None, cycles=None,
-                   seed=None) -> str:
-    return format_table3(table3_miss_rates(
-        cycles=_pick(cycles, 15_000), warmup=_pick(warmup, 4_000),
-        seed=_pick(seed, 3), jobs=jobs, executor=executor, reuse=reuse))
-
-
-def _render_table5(jobs=1, executor=None, reps=1, reuse=None,
-                   warmup=None, interval_cycles=None, cycles=None,
-                   seed=None) -> str:
-    return format_table5(table5_phase_distribution(
-        cycles=_pick(cycles, SWEEP_BUDGET_CYCLES),
-        warmup=_pick(warmup, SWEEP_BUDGET_WARMUP),
-        seed=_pick(seed, 5), jobs=jobs, executor=executor, reuse=reuse))
-
-
-def _render_figures45(jobs=1, executor=None, reps=1, reuse=None,
-                      warmup=None, interval_cycles=None, cycles=None,
-                      seed=None) -> str:
-    scenario = figures45_scenario(
-        cycles=_pick(cycles, FULL_BUDGET_CYCLES),
-        warmup=_pick(warmup, FULL_BUDGET_WARMUP),
-        seed=_pick(seed, 1), reps=reps, interval_cycles=interval_cycles)
-    with executor_scope(executor, jobs) as backend:
-        results = _scenario_comparison(scenario, ALL_CELLS, jobs, backend,
-                                       reuse=reuse)
+def format_figures45(results: Sequence[CellResult]) -> str:
+    """The full comparison: cell table, improvements, per-baseline means."""
     lines = [format_cell_results(results), ""]
     rows = improvements_over(results)
     lines.append(format_improvements(rows))
@@ -1122,62 +1037,36 @@ def _render_figures45(jobs=1, executor=None, reps=1, reuse=None,
     return "\n".join(lines)
 
 
-def _render_figure6(jobs=1, executor=None, reps=1, reuse=None,
-                    warmup=None, interval_cycles=None, cycles=None,
-                    seed=None) -> str:
-    return format_sweep(figure6_register_sweep(
-        cycles=_pick(cycles, SWEEP_BUDGET_CYCLES),
-        warmup=_pick(warmup, SWEEP_BUDGET_WARMUP),
-        seed=_pick(seed, 1), jobs=jobs, reps=reps,
-        executor=executor, reuse=reuse), "registers")
-
-
-def _render_figure7(jobs=1, executor=None, reps=1, reuse=None,
-                    warmup=None, interval_cycles=None, cycles=None,
-                    seed=None) -> str:
-    return format_sweep(figure7_latency_sweep(
-        cycles=_pick(cycles, SWEEP_BUDGET_CYCLES),
-        warmup=_pick(warmup, SWEEP_BUDGET_WARMUP),
-        seed=_pick(seed, 1), jobs=jobs, reps=reps,
-        executor=executor, reuse=reuse), "latency")
-
-
-def _render_text52(jobs=1, executor=None, reps=1, reuse=None,
-                   warmup=None, interval_cycles=None, cycles=None,
-                   seed=None) -> str:
-    return format_text52(text52_frontend_and_mlp(
-        cycles=_pick(cycles, SWEEP_BUDGET_CYCLES),
-        warmup=_pick(warmup, SWEEP_BUDGET_WARMUP),
-        seed=_pick(seed, 1), jobs=jobs, executor=executor, reuse=reuse))
-
-
-def _sweep_budget(builder: Callable[..., Scenario]) -> Callable[[], Scenario]:
-    """Registry adapter: the builder at the published sweep budget."""
-    def build() -> Scenario:
-        return builder(cycles=SWEEP_BUDGET_CYCLES,
-                       warmup=SWEEP_BUDGET_WARMUP)
-    return build
-
-
-#: Every simulation-backed paper artefact, in suite order, each with
-#: the scenario its renderer actually runs.  (Table 1 is exact
-#: arithmetic — no simulation, no scenario — and stays in
+#: Every simulation-backed paper artefact, in suite order.  (Table 1 is
+#: exact arithmetic — no simulation, no scenario — and stays in
 #: ``scripts/run_all_experiments.py``.)
 ARTIFACTS: Tuple[ArtifactDef, ...] = (
     ArtifactDef("fig2", "Figure 2 — resource sensitivity (perfect L1D)",
-                figure2_scenario, _render_figure2),
+                figure2_scenario,
+                partial(_figure2_rows, resources=tuple(FIG2_RESOURCES),
+                        fractions=FIG2_FRACTIONS),
+                format_figure2),
     ArtifactDef("table3", "Table 3 — L2 miss rates",
-                table3_scenario, _render_table3),
+                table3_scenario, _table3_rows, format_table3),
     ArtifactDef("table5", "Table 5 — phase distribution (2-thread)",
-                _sweep_budget(table5_scenario), _render_table5),
+                partial(table5_scenario, **_SWEEP_BUDGET), _table5_rows,
+                format_table5, kind="phase_timeline"),
     ArtifactDef("figs45", "Figures 4+5 — full 9-cell policy comparison",
-                figures45_scenario, _render_figures45),
+                figures45_scenario, _comparison_cells, format_figures45,
+                hmean=True, knobs=REPLICATED_KNOBS + ("interval_cycles",)),
     ArtifactDef("fig6", "Figure 6 — register sweep",
-                _sweep_budget(figure6_scenario), _render_figure6),
+                partial(figure6_scenario, **_SWEEP_BUDGET),
+                partial(_sweep_rows, parameter_of=_registers),
+                partial(format_sweep, parameter_name="registers"),
+                hmean=True, knobs=REPLICATED_KNOBS),
     ArtifactDef("fig7", "Figure 7 — latency sweep",
-                _sweep_budget(figure7_scenario), _render_figure7),
+                partial(figure7_scenario, **_SWEEP_BUDGET),
+                partial(_sweep_rows, parameter_of=_memory_latency),
+                partial(format_sweep, parameter_name="latency"),
+                hmean=True, knobs=REPLICATED_KNOBS),
     ArtifactDef("text52", "Section 5.2 — front-end activity / MLP",
-                _sweep_budget(text52_scenario), _render_text52),
+                partial(text52_scenario, **_SWEEP_BUDGET), _text52_rows,
+                format_text52),
 )
 
 

@@ -512,13 +512,6 @@ class ContentStore:
         except OSError:
             pass
 
-    def _contains(self, kind: str, token: str) -> bool:
-        key = self._key(kind, token)
-        with self._lock:
-            if key in self._memory:
-                return True
-        return os.path.exists(self._path(key))
-
     def _files(self) -> List[Tuple[Path, os.stat_result]]:
         """Every entry file with its ``stat``, oldest first."""
         files = []
@@ -645,34 +638,31 @@ class ResultStore(ContentStore):
         cls._codec(kind)  # rejects an unknown payload kind
         return cls._key(kind, job_token(job))
 
-    def get(self, job: "SimJob", kind: str = "result"):
-        """Stored payload for a job, or None on a miss."""
-        return self._get(kind, job_token(job))
+    def get(self, job: "SimJob", kind: str = "result",
+            token: Optional[str] = None):
+        """Stored payload for a job, or None on a miss.
 
-    def put(self, job: "SimJob", value, kind: str = "result") -> None:
-        """Store one payload in memory and (best-effort) on disk."""
-        self._put(kind, job_token(job), value)
-
-    def contains(self, job: "SimJob", kind: str = "result") -> bool:
-        """Whether a stored entry exists, without touching the counters.
-
-        A statistics-free probe (memory layer, then file existence) for
-        planning phases — e.g. deciding which warm-up prefixes a sweep
-        still needs — that must not distort the hit/miss accounting of
-        the run itself.
+        ``token`` is the job's :func:`job_token` when the caller already
+        holds it (the engine computes each token once per call).
         """
-        return self._contains(kind, job_token(job))
+        return self._get(kind, token or job_token(job))
 
-    def require(self, job: "SimJob", kind: str = "result"):
+    def put(self, job: "SimJob", value, kind: str = "result",
+            token: Optional[str] = None) -> None:
+        """Store one payload in memory and (best-effort) on disk."""
+        self._put(kind, token or job_token(job), value)
+
+    def require(self, job: "SimJob", kind: str = "result",
+                token: Optional[str] = None):
         """Like :meth:`get` but raising :class:`ResultStoreMiss` on a miss.
 
         The miss message names the token components in which the
         nearest stored entry differs (see :func:`nearest_entry_diff`)
         instead of leaving the user to decode an opaque digest.
         """
-        value = self.get(job, kind)
+        token = token or job_token(job)
+        value = self.get(job, kind, token)
         if value is None:
-            token = job_token(job)
             raise ResultStoreMiss(
                 f"no stored {kind} for job {token} "
                 f"(reuse='require' on a cold store?); "

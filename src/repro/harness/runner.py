@@ -521,19 +521,18 @@ def single_thread_ipc(
 ) -> float:
     """IPC of a benchmark running alone on the machine (Hmean baseline).
 
-    Results are memoised in memory and on disk (:class:`BaselineCache`):
-    Hmean evaluation of many policies over many workloads — and every
-    worker process of a parallel sweep — reuses the same per-benchmark
-    baselines.
+    A one-task campaign (:func:`repro.harness.engine.baseline_job`):
+    results are memoised in memory and on disk (:class:`BaselineCache`),
+    so Hmean evaluation of many policies over many workloads — in any
+    process — reuses the same per-benchmark baselines.
     """
-    config = config or SMTConfig()
-    cached = baseline_cache.get(benchmark, config, cycles, warmup, seed)
-    if cached is not None:
-        return cached
-    result = run_benchmarks([benchmark], "ICOUNT", config, cycles, warmup, seed)
-    ipc = result.threads[0].ipc
-    baseline_cache.put(benchmark, config, cycles, warmup, seed, ipc)
-    return ipc
+    # Imported here: engine builds on this module, not the reverse.
+    from repro.harness.engine import Campaign, baseline_job, execute
+
+    campaign = Campaign()
+    key = campaign.add("baseline", baseline_job(benchmark, config, cycles,
+                                                warmup, seed))
+    return execute(campaign).payloads[key]
 
 
 @dataclass
@@ -567,6 +566,9 @@ def evaluate_workload(
 ) -> Dict[str, PolicyEvaluation]:
     """Evaluate several policies on one workload with shared baselines.
 
+    The policy runs and their single-thread baselines compile to one
+    campaign, executed in this process (see :mod:`repro.harness.engine`).
+
     Args:
         reps: seed replications per policy.  With ``reps > 1`` each
             policy runs once per derived seed
@@ -580,21 +582,32 @@ def evaluate_workload(
         Mapping from policy label to its :class:`PolicyEvaluation`.
     """
     # Imported here: engine builds on this module, not the reverse.
-    from repro.harness.engine import derive_seeds
+    from repro.harness.engine import (
+        Campaign,
+        SimJob,
+        baseline_job,
+        derive_seeds,
+        execute,
+    )
 
     config = config or SMTConfig()
     seeds = derive_seeds(seed, reps)
-    singles_per_rep = [
-        [single_thread_ipc(b, config, cycles, warmup, s)
-         for b in workload.benchmarks]
-        for s in seeds
-    ]
+    campaign = Campaign()
+    runs = [[campaign.add("result", SimJob(tuple(workload.benchmarks),
+                                           policy, config, cycles, warmup, s))
+             for s in seeds]
+            for policy in policies]
+    singles = [[campaign.add("baseline",
+                             baseline_job(b, config, cycles, warmup, s))
+                for b in workload.benchmarks]
+               for s in seeds]
+    payloads = execute(campaign).payloads
     evaluations: Dict[str, PolicyEvaluation] = {}
-    for policy in policies:
-        results = [run_workload(workload, policy, config, cycles, warmup, s)
-                   for s in seeds]
-        hmeans = [safe_hmean(result.ipcs, singles, workload.name)
-                  for result, singles in zip(results, singles_per_rep)]
+    for keys in runs:
+        results = [payloads[key] for key in keys]
+        hmeans = [safe_hmean(result.ipcs, [payloads[key] for key in rep],
+                             workload.name)
+                  for result, rep in zip(results, singles)]
         throughputs = [result.throughput for result in results]
         if reps > 1:
             throughput_stats = ReplicatedResult.from_values(throughputs)

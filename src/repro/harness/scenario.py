@@ -9,6 +9,17 @@ list, so everything the harness already guarantees (any-backend bitwise
 determinism, seed-replication statistics, adaptive warm-up, the
 content-addressed result store) applies to a scenario for free.
 
+Running a scenario is compile → execute → render:
+:meth:`CompiledScenario.tasks` adds the jobs (and, for Hmean columns,
+the single-thread baseline of every grid point, benchmark and seed) to
+a :class:`~repro.harness.engine.Campaign`, one
+:func:`~repro.harness.engine.execute` call computes or serves them, and
+:meth:`ScenarioTasks.outcome` hands the payloads to a pure renderer
+(:func:`scenario_report` for files, the artefact aggregates of
+:mod:`repro.harness.experiments` for the built-ins).
+:func:`run_scenario` is the one-scenario shorthand; the campaign script
+compiles every artefact into one shared campaign instead.
+
 Every paper artefact is such a spec (see
 ``repro.harness.experiments.ARTIFACTS``), and a new workload study is a
 scenario *file* rather than a new ~100-line driver::
@@ -70,12 +81,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dcra import DcraConfig
-from repro.harness.results import (
-    ResultStore,
-    normalize_reuse,
-    policy_token,
-    resolve_store,
-)
+from repro.harness.results import ResultStore, policy_token
 from repro.harness.runner import DEFAULT_CYCLES, DEFAULT_WARMUP, PolicySpec
 from repro.harness.warmup import (
     WarmupPolicy,
@@ -83,7 +89,6 @@ from repro.harness.warmup import (
     as_warmup_policy,
     parse_warmup_spec,
 )
-from repro.metrics.stats import SimulationResult
 from repro.pipeline.config import SMTConfig
 from repro.trace.workloads import Workload, resolve_workloads
 
@@ -455,6 +460,54 @@ class CompiledScenario:
     jobs: List
     meta: List[JobMeta]
 
+    def tasks(self, campaign, kind: str = "result",
+              hmean: bool = False) -> "ScenarioTasks":
+        """Add this scenario's work to a
+        :class:`~repro.harness.engine.Campaign`.
+
+        Every compiled job becomes a ``kind`` task; with ``hmean``, so
+        does the single-thread baseline of every (grid point, benchmark,
+        seed) the jobs measure, under that point's config and budgets.
+        Returns the task keys, to look the payloads up by.
+        """
+        from repro.harness.engine import baseline_job
+
+        keys = [campaign.add(kind, job) for job in self.jobs]
+        baselines: Dict[Tuple[int, str, int], Tuple[str, str]] = {}
+        if hmean:
+            for meta in self.meta:
+                point = self.points[meta.point].scenario
+                for benchmark in meta.workload.benchmarks:
+                    pair = (meta.point, benchmark, meta.seed)
+                    if pair not in baselines:
+                        baselines[pair] = campaign.add("baseline", baseline_job(
+                            benchmark, point.config, point.cycles,
+                            point.warmup, meta.seed))
+        return ScenarioTasks(self, keys, baselines)
+
+
+@dataclass
+class ScenarioTasks:
+    """A compiled scenario's share of a campaign: the task key of each
+    compiled job, and of each Hmean baseline by (grid point, benchmark,
+    seed)."""
+
+    compiled: CompiledScenario
+    keys: List[Tuple[str, str]]
+    baselines: Dict[Tuple[int, str, int], Tuple[str, str]]
+
+    def needs(self) -> List[Tuple[str, str]]:
+        """Every task key this scenario's outcome reads."""
+        return self.keys + list(self.baselines.values())
+
+    def outcome(self, payloads) -> "ScenarioRun":
+        """The scenario's results and baselines, from a campaign's
+        payloads (store counts are the caller's to add)."""
+        return ScenarioRun(
+            self.compiled, [payloads[key] for key in self.keys],
+            singles={pair: payloads[key]
+                     for pair, key in self.baselines.items()})
+
 
 # --------------------------------------------------------------------------
 # File formats (JSON and TOML)
@@ -621,118 +674,73 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 # --------------------------------------------------------------------------
-# Running a scenario
+# Running a scenario: one campaign, one execute, a pure report
 # --------------------------------------------------------------------------
 
 @dataclass
 class ScenarioRun:
-    """Outcome of :func:`run_scenario`: results plus store traffic.
+    """Outcome of a scenario's campaign: results, baselines, counts.
 
-    ``checkpoint_stats`` is the warm-up prefix-sharing accounting
-    (``prefixes``/``jobs``/``hits``/``computed``, see
-    :func:`~repro.harness.engine.ensure_checkpoints`) when any job
-    opted into checkpointing, else None.
+    ``results[i]`` is the payload of ``compiled.jobs[i]``; ``singles``
+    maps (grid point, benchmark, seed) to the Hmean baseline IPC when
+    the scenario ran with baselines.  ``store_stats`` and
+    ``checkpoint_stats`` are the campaign's counts (see
+    :class:`~repro.harness.engine.CampaignRun`).
     """
 
     compiled: CompiledScenario
-    results: List[SimulationResult]
-    store_stats: Dict[str, int]
+    results: List
+    store_stats: Dict[str, int] = dataclasses.field(default_factory=dict)
     checkpoint_stats: Optional[Dict[str, int]] = None
-
-    @property
-    def scenario(self) -> Scenario:
-        return self.compiled.scenario
+    singles: Dict[Tuple[int, str, int], float] = \
+        dataclasses.field(default_factory=dict)
 
 
 def run_scenario(scenario: Scenario, jobs: int = 1, executor=None,
                  reuse="auto", progress=None,
                  store: Optional[ResultStore] = None,
-                 checkpoint=None) -> ScenarioRun:
-    """Compile and execute a scenario through the experiment engine.
+                 checkpoint=None, kind: str = "result",
+                 hmean: bool = False) -> ScenarioRun:
+    """Compile a scenario to a campaign and execute it.
 
     ``reuse`` defaults to ``"auto"`` here — incremental re-runs are the
     scenario layer's reason to exist; pass ``"off"`` to force
-    recomputation or ``"require"`` to assert a warm store.  The
-    returned ``store_stats`` cover exactly this run (hits + misses =
-    compiled job count when reuse is on).
-
-    ``checkpoint`` overrides the compiled jobs' warm-up checkpoint
-    mode: None keeps what compilation stamped (``"auto"`` for
-    ``shared_warmup`` scenarios, off otherwise); ``"off"``/``"auto"``/
-    ``"require"`` force that mode on every job.  When any job ends up
-    checkpoint-enabled, the missing warm-up prefixes are computed first
-    — exactly once each, through the same backend — before the job
-    sweep runs (see :func:`~repro.harness.engine.ensure_checkpoints`).
+    recomputation or ``"require"`` to assert a warm store.  ``kind`` is
+    the payload each job yields (``"result"``, ``"intervals"`` or
+    ``"phase_timeline"``) and ``hmean`` adds the single-thread
+    baselines (:meth:`CompiledScenario.tasks`).  ``checkpoint``
+    overrides the compiled jobs' warm-up checkpoint mode (None keeps
+    what compilation stamped: ``"auto"`` for ``shared_warmup``
+    scenarios, off otherwise).  Everything else is
+    :func:`~repro.harness.engine.execute`'s.
     """
-    from repro.harness.checkpoints import normalize_checkpoint
-    from repro.harness.engine import (
-        ensure_checkpoints,
-        executor_scope,
-        run_jobs,
-    )
+    from repro.harness.engine import Campaign, execute
 
-    compiled = scenario.compile()
-    if checkpoint is not None:
-        mode = normalize_checkpoint(checkpoint)
-        compiled.jobs = [
-            dataclasses.replace(job,
-                                checkpoint=None if mode == "off" else mode)
-            for job in compiled.jobs]
-    store = resolve_store(store)
-    reuse_mode = normalize_reuse(reuse)
-    checkpoint_stats = None
-    with executor_scope(executor, jobs) as backend:
-        if any(job.checkpoint for job in compiled.jobs):
-            # Prefixes are only worth computing for jobs whose *result*
-            # is not already stored — a fully warm result store needs
-            # no warm-up state at all.
-            pending = (compiled.jobs if reuse_mode == "off" else
-                       [job for job in compiled.jobs
-                        if not store.contains(job, "result")])
-            checkpoint_stats = ensure_checkpoints(pending, jobs, backend)
-        before = dataclasses.replace(store.stats)
-        results = run_jobs(compiled.jobs, jobs, backend, progress,
-                           reuse, store)
-    after = store.stats
-    stats = {"jobs": len(compiled.jobs),
-             "hits": after.hits - before.hits,
-             "misses": after.misses - before.misses,
-             "stores": after.stores - before.stores}
-    return ScenarioRun(compiled=compiled, results=results,
-                       store_stats=stats, checkpoint_stats=checkpoint_stats)
+    campaign = Campaign()
+    tasks = scenario.compile().tasks(campaign, kind, hmean)
+    run = execute(campaign, jobs, executor, reuse, checkpoint, progress,
+                  store)
+    return dataclasses.replace(tasks.outcome(run.payloads),
+                               store_stats=run.store_stats,
+                               checkpoint_stats=run.checkpoint_stats)
 
 
-def scenario_report(outcome: ScenarioRun, include_hmean: bool = True,
-                    max_workers: int = 1, executor=None) -> str:
+def scenario_report(outcome: ScenarioRun) -> str:
     """Generic table for a scenario run: one row per (grid point,
-    workload, policy), mean ±95% CI columns when replicated.
+    workload, policy), mean ±95% CI columns when replicated, and Hmean
+    columns when the run carries baselines.
 
     This is the renderer behind ``repro scenario run`` for custom
     scenario files; the paper artefacts use their own pinned formatters
-    (see :mod:`repro.harness.experiments`).  Hmean baselines run
-    through the ordinary baseline cache (and the supplied backend), so
-    a warm-cache report computes nothing.
+    (see :mod:`repro.harness.experiments`).
     """
-    from repro.harness.engine import derive_seeds, ensure_baselines_sweep
     from repro.metrics.report import ColumnSpec, render_table
     from repro.metrics.stats import ReplicatedResult, safe_hmean
 
     compiled = outcome.compiled
     show_points = len(compiled.points) > 1
     replicated = any(point.scenario.reps > 1 for point in compiled.points)
-
-    singles: Dict[int, Dict[Tuple[str, int], float]] = {}
-    if include_hmean:
-        for point in compiled.points:
-            concrete = point.scenario
-            benchmarks = [b
-                          for selector in concrete.workloads
-                          for workload in resolve_workloads(selector)
-                          for b in workload.benchmarks]
-            singles[point.index] = ensure_baselines_sweep(
-                benchmarks, derive_seeds(concrete.seed, concrete.reps),
-                concrete.config, concrete.cycles, concrete.warmup,
-                max_workers=max_workers, executor=executor)
+    include_hmean = bool(outcome.singles)
 
     # Group replications: (point, workload, policy) -> result list.
     grouped: Dict[Tuple[int, str, str], List[int]] = {}
@@ -756,7 +764,7 @@ def scenario_report(outcome: ScenarioRun, include_hmean: bool = True,
             hmeans = []
             for i in indices:
                 meta = compiled.meta[i]
-                base = [singles[point][(b, meta.seed)]
+                base = [outcome.singles[(point, b, meta.seed)]
                         for b in meta.workload.benchmarks]
                 hmeans.append(safe_hmean(outcome.results[i].ipcs, base,
                                          workload_name))

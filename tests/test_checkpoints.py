@@ -23,12 +23,7 @@ from repro.harness.checkpoints import (
     prefix_token,
     warmup_boundary_token,
 )
-from repro.harness.engine import (
-    SimJob,
-    ensure_checkpoints,
-    factor_prefixes,
-    run_job,
-)
+from repro.harness.engine import Campaign, SimJob, execute, run_job
 from repro.harness.results import (
     ResultStoreMiss,
     interval_run_to_payload,
@@ -336,6 +331,13 @@ def run_job_and_store(job):
     result_store.put(job, run_job(job), "result")
 
 
+def campaign_of(jobs):
+    campaign = Campaign()
+    for job in jobs:
+        campaign.add("result", job)
+    return campaign
+
+
 # --------------------------------------------------------------------------
 # Engine + scenario: shared prefixes execute exactly once, on any backend
 # --------------------------------------------------------------------------
@@ -348,22 +350,22 @@ class TestPrefixSharing:
                        else "ICOUNT")
                 for policy in ("ICOUNT", "STALL", "FLUSH", "DCRA")]
 
-    def test_factor_prefixes_collapses_shared_warmup(self, small_config):
-        groups = factor_prefixes(self.jobs(small_config))
-        assert len(groups) == 1
-        (indices,) = groups.values()
-        assert indices == [0, 1, 2, 3]
-
-    def test_prefix_executes_exactly_once(self, small_config):
+    def test_prefix_executes_exactly_once(self, small_config, monkeypatch):
+        """The four jobs share one prefix: execute computes it once, and
+        every job restores it instead of re-simulating the warm-up."""
         jobs = self.jobs(small_config)
-        stats = ensure_checkpoints(jobs)
+        from repro.harness import engine, runner
+
+        computed = []
+        compute = runner.compute_warmup_checkpoint
+        for module in (engine, runner):
+            monkeypatch.setattr(module, "compute_warmup_checkpoint",
+                                lambda *args: (computed.append(args),
+                                               compute(*args))[1])
+        stats = execute(campaign_of(jobs)).checkpoint_stats
         assert stats == {"prefixes": 1, "jobs": 4, "hits": 0, "computed": 1}
-        stores_before = checkpoint_store.stats.stores
-        for job in jobs:
-            run_job(job)
-        # Every job restored the shared prefix; none re-simulated it.
-        assert checkpoint_store.stats.stores == stores_before
-        assert ensure_checkpoints(jobs)["computed"] == 0
+        assert len(computed) == 1
+        assert execute(campaign_of(jobs)).checkpoint_stats["computed"] == 0
 
     def test_serial_prefixes_are_written_once(self, small_config,
                                               monkeypatch):
@@ -376,7 +378,7 @@ class TestPrefixSharing:
                                                 write(path, data)))
         jobs = [SimJob(("gzip",), "ICOUNT", small_config, 200, 300,
                        seed=seed, checkpoint="auto") for seed in (1, 2)]
-        assert ensure_checkpoints(jobs)["computed"] == 2
+        assert execute(campaign_of(jobs)).checkpoint_stats["computed"] == 2
         assert len(written) == 2
 
     def test_scenario_shared_warmup_identical_across_executors(

@@ -294,11 +294,12 @@ class TestStoreReuseCli:
         assert main(args + ["--reuse", "auto"]) == 0
         cold = capsys.readouterr().out
 
-        from repro import __main__ as cli
+        from repro.harness import engine, runner
 
         def boom(*args, **kwargs):
             raise AssertionError("simulated on a warm store")
 
-        monkeypatch.setattr(cli, "run_benchmarks_intervals", boom)
+        monkeypatch.setattr(runner, "run_benchmarks_intervals", boom)
+        monkeypatch.setattr(engine, "run_job_intervals", boom)
         assert main(args + ["--reuse", "require"]) == 0
         assert capsys.readouterr().out == cold

@@ -5,10 +5,11 @@ import os
 import pytest
 
 from repro.harness.engine import (
+    Campaign,
     SimJob,
+    baseline_job,
     derive_seed,
-    ensure_baselines,
-    parallel_map,
+    execute,
     run_job,
     run_jobs,
 )
@@ -65,15 +66,6 @@ class TestRunJobs:
         parallel = run_jobs(jobs, max_workers=2)
         assert parallel == serial  # dataclass equality covers every field
 
-    def test_parallel_map_preserves_order(self):
-        items = list(range(20))
-        assert parallel_map(_square, items, max_workers=4) \
-            == [i * i for i in items]
-
-
-def _square(x):
-    return x * x
-
 
 class TestBaselineCache:
     """Baseline-kind specifics; the shared mechanics are in
@@ -98,25 +90,36 @@ class TestBaselineCache:
         expected = single_thread_ipc("gzip", None, CYCLES, WARMUP, seed=12)
         clear_baseline_cache()  # drop memory, keep disk
 
-        from repro.harness import runner
+        from repro.harness import engine, runner
 
         def boom(*args, **kwargs):
             raise AssertionError("simulated despite a disk cache hit")
 
         monkeypatch.setattr(runner, "run_benchmarks", boom)
+        monkeypatch.setattr(engine, "run_job", boom)
         assert single_thread_ipc("gzip", None, CYCLES, WARMUP,
                                  seed=12) == expected
 
 
 class TestCrossProcessCache:
+    @staticmethod
+    def baselines():
+        campaign = Campaign()
+        keys = [campaign.add("baseline",
+                             baseline_job(b, None, CYCLES, WARMUP, 21))
+                for b in ("gzip", "twolf")]
+        return campaign, keys
+
     def test_workers_populate_shared_disk_cache(self, tmp_path, monkeypatch):
         """Baselines computed in pool workers must hit in the parent."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_baseline_cache()
-        singles = ensure_baselines(["gzip", "twolf"], None, CYCLES, WARMUP,
-                                   seed=21, max_workers=2)
-        assert set(singles) == {"gzip", "twolf"}
-        # The worker runs (or the write-back) left disk entries behind ...
+        campaign, keys = self.baselines()
+        payloads = execute(campaign, jobs=2).payloads
+        singles = [payloads[key] for key in keys]
+        assert singles == [single_thread_ipc(b, None, CYCLES, WARMUP, 21)
+                           for b in ("gzip", "twolf")]
+        # The write-back left disk entries behind ...
         files = list((tmp_path / "baselines").glob("*.json"))
         assert len(files) == 2
         # ... that a fresh process-side cache resolves without simulating.
@@ -127,10 +130,13 @@ class TestCrossProcessCache:
         def boom(*args, **kwargs):
             raise AssertionError("simulated despite warm disk cache")
 
+        from repro.harness import engine
+
         monkeypatch.setattr(runner, "run_benchmarks", boom)
-        again = ensure_baselines(["gzip", "twolf"], None, CYCLES, WARMUP,
-                                 seed=21, max_workers=1)
-        assert again == singles
+        monkeypatch.setattr(engine, "run_job", boom)
+        campaign, keys = self.baselines()
+        again = execute(campaign, reuse="require").payloads
+        assert [again[key] for key in keys] == singles
 
 
 class TestDriversParallelEqualSerial:
@@ -160,3 +166,48 @@ class TestDriversParallelEqualSerial:
                       resources=("int_iq",))
         assert exp.figure2_resource_sensitivity(jobs=2, **kwargs) \
             == exp.figure2_resource_sensitivity(jobs=1, **kwargs)
+
+
+class TestCampaign:
+    def test_identical_tasks_simulate_once(self, monkeypatch):
+        """A baseline is an ordinary job: it shares one simulation with
+        an identical measured run, and duplicate tasks collapse."""
+        from repro.harness import engine
+
+        calls = []
+        simulate = engine.run_benchmarks
+        monkeypatch.setattr(
+            engine, "run_benchmarks",
+            lambda *args, **kwargs: (calls.append(args),
+                                     simulate(*args, **kwargs))[1])
+        clear_baseline_cache()
+        job = SimJob(("gzip",), "ICOUNT", None, CYCLES, WARMUP, seed=31)
+        campaign = Campaign()
+        result_key = campaign.add("result", job)
+        assert campaign.add("result", job) == result_key
+        baseline_key = campaign.add(
+            "baseline", baseline_job("gzip", None, CYCLES, WARMUP, 31))
+        assert len(campaign.tasks) == 2
+        run = execute(campaign, reuse="auto")
+        assert len(calls) == 1
+        result = run.payloads[result_key]
+        assert result == run_job(job)
+        assert run.payloads[baseline_key] == result.threads[0].ipc
+        assert baseline_cache.get("gzip", SMTConfig(), CYCLES, WARMUP,
+                                  31) == result.threads[0].ipc
+        # Baselines never enter the result store's counts.
+        assert run.store_stats == {"jobs": 1, "hits": 0, "misses": 1,
+                                   "stores": 1}
+
+    def test_baselines_are_served_whatever_reuse_says(self):
+        clear_baseline_cache()
+        campaign = Campaign()
+        key = campaign.add("baseline",
+                           baseline_job("mcf", None, CYCLES, WARMUP, 32))
+        cold = execute(campaign, reuse="off").payloads[key]
+        # 'require' asserts a warm *result* store; a baseline is served
+        # from (and, on a miss, written to) the baseline cache.
+        clear_baseline_cache()
+        again = execute(campaign, reuse="require")
+        assert again.payloads[key] == cold
+        assert again.store_stats["jobs"] == 0

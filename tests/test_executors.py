@@ -2,8 +2,9 @@
 
 The acceptance contract: every backend — serial, local process pool,
 remote socket workers — produces bitwise-identical
-:class:`SimulationResult` lists for the same job list, and the
-streaming APIs reassemble to exactly the blocking output.
+:class:`SimulationResult` lists for the same job list, and each
+backend's streaming view (``map_unordered``) reassembles to exactly the
+blocking output.
 """
 
 import os
@@ -11,13 +12,7 @@ import time
 
 import pytest
 
-from repro.harness.engine import (
-    SimJob,
-    parallel_map,
-    parallel_map_streaming,
-    run_jobs,
-    run_jobs_streaming,
-)
+from repro.harness.engine import SimJob, run_job, run_jobs
 from repro.harness.executors import (
     EXECUTOR_NAMES,
     Executor,
@@ -93,7 +88,7 @@ class TestStreaming:
 
     @staticmethod
     def _assert_stream_matches(executor, reference):
-        pairs = list(run_jobs_streaming(small_jobs(), 2, executor))
+        pairs = list(executor.map_unordered(run_job, small_jobs()))
         assert sorted(index for index, _ in pairs) == list(range(len(pairs)))
         reassembled = [result for _, result in sorted(pairs)]
         assert reassembled == reference
@@ -110,12 +105,12 @@ class TestStreaming:
         self._assert_stream_matches(remote_executor, reference_results)
 
     def test_serial_stream_is_in_submission_order(self):
-        pairs = list(parallel_map_streaming(_square, range(10)))
+        pairs = list(SerialExecutor().map_unordered(_square, range(10)))
         assert pairs == [(i, i * i) for i in range(10)]
 
-    def test_parallel_map_streaming_with_pool(self):
-        pairs = list(parallel_map_streaming(_square, range(10),
-                                            max_workers=3))
+    def test_process_stream_covers_every_index(self):
+        with ProcessExecutor(3) as executor:
+            pairs = list(executor.map_unordered(_square, range(10)))
         assert sorted(pairs) == [(i, i * i) for i in range(10)]
 
 
@@ -162,14 +157,6 @@ class TestExecutorBehaviour:
         executor.close()
         with pytest.raises(RuntimeError, match="closed"):
             executor.map(_square, [1])
-
-    def test_warm_up_then_map(self):
-        """warm_up pre-forks pool workers; mapping afterwards still works."""
-        with ProcessExecutor(2) as executor:
-            executor.warm_up()
-            assert executor.map(_square, range(6)) \
-                == [i * i for i in range(6)]
-        SerialExecutor().warm_up()  # no-op on workerless backends
 
 
 class TestRemoteBatching:
@@ -254,15 +241,11 @@ class TestMakeExecutor:
             assert issubclass(cls, Executor)
 
 
-class TestParallelMapCompatibility:
-    """The PR-1 entry points keep their exact semantics."""
+class TestMapOrder:
+    """``Executor.map`` reassembles completion-order results by index."""
 
-    def test_default_serial_path_unchanged(self):
+    def test_local_backends_preserve_order(self):
         items = list(range(20))
-        assert parallel_map(_square, items, max_workers=1) \
-            == [i * i for i in items]
-
-    def test_pool_path_unchanged(self):
-        items = list(range(20))
-        assert parallel_map(_square, items, max_workers=4) \
-            == [i * i for i in items]
+        with ProcessExecutor(4) as pool:
+            for executor in (SerialExecutor(), pool):
+                assert executor.map(_square, items) == [i * i for i in items]

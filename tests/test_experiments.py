@@ -173,3 +173,87 @@ class TestText52:
         for row in rows:
             assert row.fetched_per_commit > 0
         assert "fetch/commit" in exp.format_text52(rows)
+
+
+class TestOneCampaign:
+    """Every driver compiles one deduplicated campaign and executes it
+    once, on at most one executor."""
+
+    @staticmethod
+    def count_simulations(monkeypatch):
+        from repro.harness import engine
+
+        calls = []
+        simulate = engine.run_benchmarks
+        monkeypatch.setattr(
+            engine, "run_benchmarks",
+            lambda *args, **kwargs: (calls.append(args),
+                                     simulate(*args, **kwargs))[1])
+        return calls
+
+    def test_figure2_simulates_each_distinct_job_once(self, monkeypatch):
+        """The golden Figure 2 grid compiles 24 jobs; its @full and @1
+        points are the same configuration, so 16 distinct jobs run."""
+        calls = self.count_simulations(monkeypatch)
+        scenario = exp.figure2_scenario(cycles=400, warmup=100,
+                                        fractions=(0.5, 1.0),
+                                        resources=("int_iq",))
+        assert len(scenario.compile().jobs) == 24
+        rows = exp.figure2_resource_sensitivity(
+            cycles=400, warmup=100, fractions=(0.5, 1.0),
+            resources=("int_iq",))
+        assert len(calls) == 16
+        assert rows[-1].relative_ipc == pytest.approx(1.0)
+
+    def test_shared_campaign_simulates_shared_jobs_once(self, monkeypatch):
+        """Figure 6 at 352 registers, Figure 7 at 300 cycles and Section
+        5.2 all run the Table 2 machine: one campaign simulates each
+        shared job (and baseline) once and renders every artefact as
+        its own driver does."""
+        from repro.harness.engine import Campaign, execute
+        from repro.harness.runner import clear_baseline_cache
+
+        budget = dict(cells=CELLS, cycles=300, warmup=100)
+        fig6 = exp.figure6_scenario(register_sizes=(352,), **budget)
+        fig7 = exp.figure7_scenario(latencies=((300, 20),), **budget)
+        text52 = exp.text52_scenario(**budget)
+        clear_baseline_cache()
+        calls = self.count_simulations(monkeypatch)
+        campaign = Campaign()
+        sections = [scenario.compile().tasks(campaign, hmean=hmean)
+                    for scenario, hmean in ((fig6, True), (fig7, True),
+                                            (text52, False))]
+        compiled = sum(len(tasks.keys) for tasks in sections)
+        assert compiled == 20 + 20 + 8
+        # fig7 adds only its latency-tuned DCRA jobs, text52 nothing;
+        # fig7's baselines are fig6's.
+        measured = [key for key in campaign.tasks if key[0] == "result"]
+        assert len(measured) == 20 + 4
+        assert sections[1].baselines == sections[0].baselines
+        payloads = execute(campaign).payloads
+        assert len(calls) == len(campaign.tasks)
+
+        fig6_rows, fig7_rows, text52_rows = (
+            exp._sweep_rows(sections[0].outcome(payloads), exp._registers),
+            exp._sweep_rows(sections[1].outcome(payloads),
+                            exp._memory_latency),
+            exp._text52_rows(sections[2].outcome(payloads)))
+        assert fig6_rows == exp.figure6_register_sweep(
+            register_sizes=(352,), **budget)
+        assert fig7_rows == exp.figure7_latency_sweep(
+            latencies=((300, 20),), **budget)
+        assert text52_rows == exp.text52_frontend_and_mlp(**budget)
+
+    def test_figure6_builds_one_pool(self, monkeypatch):
+        from repro.harness import executors
+        from repro.harness.runner import clear_baseline_cache
+
+        pools = []
+        init = executors.ProcessExecutor.__init__
+        monkeypatch.setattr(
+            executors.ProcessExecutor, "__init__",
+            lambda self, *args: (pools.append(args), init(self, *args))[1])
+        clear_baseline_cache()
+        exp.figure6_register_sweep(register_sizes=(320, 352), cells=CELLS,
+                                   cycles=200, warmup=100, jobs=2)
+        assert len(pools) == 1

@@ -14,7 +14,7 @@ import pytest
 
 from repro.harness import results as results_mod
 from repro.harness.checkpoints import CheckpointStore
-from repro.harness.engine import SimJob, run_job, run_jobs, run_jobs_streaming
+from repro.harness.engine import SimJob, run_job, run_jobs
 from repro.harness.executors import SerialExecutor
 from repro.harness.results import (
     ResultStore,
@@ -340,16 +340,6 @@ class TestEngineReuse:
         mixed = run_jobs(self.JOBS, reuse="auto", store=store)
         assert mixed == cold
         assert store.stats.stores == len(self.JOBS)
-
-    def test_streaming_reuse_reassembles_identically(self):
-        store = ResultStore()
-        cold = run_jobs(self.JOBS, reuse="off")
-        run_jobs(self.JOBS[:1], reuse="auto", store=store)
-        streamed = [None] * len(self.JOBS)
-        for index, result in run_jobs_streaming(self.JOBS, reuse="auto",
-                                                store=store):
-            streamed[index] = result
-        assert streamed == cold
 
     def test_reuse_across_executors(self):
         """A store warmed on one backend serves every other backend."""

@@ -111,30 +111,48 @@ class TestDegenerateWindows:
         assert result.threads[0].ipc == 0.0
 
 
-def test_runner_import_loads_no_service_layer():
-    """A fresh ``import repro.harness.runner`` (what a run needs) leaves
-    the service layers unloaded; every package export still resolves
-    and is listed by ``dir()``."""
+def _loaded_after_import(module: str, names) -> list:
+    """Which of ``names`` a fresh interpreter has in ``sys.modules``
+    after ``import module``."""
     import subprocess
     import sys
     from pathlib import Path
 
-    import repro
-    import repro.harness
-
     script = (
         "import sys\n"
-        "import repro.harness.runner\n"
+        f"import {module}\n"
         "print(sorted(set(sys.argv[1:]) & set(sys.modules)))\n")
-    unloaded = ["asyncio", "http.server", "repro.harness.broker",
-                "repro.harness.executors", "repro.harness.scenario"]
     proc = subprocess.run(
-        [sys.executable, "-c", script, *unloaded], capture_output=True,
+        [sys.executable, "-c", script, *names], capture_output=True,
         text=True, check=True,
         cwd=str(Path(__file__).resolve().parent.parent),
         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_runner_import_loads_no_service_layer():
+    """A fresh ``import repro.harness.runner`` (what a run needs) leaves
+    the service and campaign layers unloaded; every package export
+    still resolves and is listed by ``dir()``."""
+    import repro
+    import repro.harness
+
+    unloaded = ["asyncio", "http.server", "repro.harness.broker",
+                "repro.harness.engine", "repro.harness.executors",
+                "repro.harness.experiments", "repro.harness.scenario"]
+    assert _loaded_after_import("repro.harness.runner", unloaded) == "[]"
     for package in (repro, repro.harness):
         for name in package.__all__:
             assert getattr(package, name) is not None
             assert name in dir(package)
+
+
+def test_engine_import_loads_no_backend():
+    """A fresh ``import repro.harness.engine`` — what a broker or remote
+    worker loads to unpickle ``run_job`` — leaves the executor backends,
+    the scenario and artefact layers and the process/event-loop
+    machinery unloaded."""
+    unloaded = ["asyncio", "concurrent.futures.process", "multiprocessing",
+                "repro.harness.executors", "repro.harness.experiments",
+                "repro.harness.scenario"]
+    assert _loaded_after_import("repro.harness.engine", unloaded) == "[]"

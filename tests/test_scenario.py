@@ -276,11 +276,14 @@ class TestRunScenario:
 
     def test_report_renders(self):
         outcome = run_scenario(
-            dataclasses.replace(SMALL, reps=2), reuse="off")
+            dataclasses.replace(SMALL, reps=2), reuse="off", hmean=True)
         report = scenario_report(outcome)
         assert "ICOUNT" in report and "DCRA" in report
         assert "±" in report  # replicated runs carry CI columns
+        assert "Hmean" in report  # the run carries its baselines
         assert "gzip+twolf" in report
+        plain = scenario_report(run_scenario(SMALL, reuse="off"))
+        assert "Hmean" not in plain
 
 
 class TestScenarioCli:
@@ -324,6 +327,44 @@ class TestScenarioCli:
 
         with pytest.raises(SystemExit, match="unknown artefact"):
             main(["scenario", "run", "nosuch"])
+
+    def test_key_counts_distinct_lookups(self, tmp_path, capsys):
+        """The built-in route reports one lookup per distinct job: the
+        Figure 2 grid compiles 288 jobs, 232 of them distinct."""
+        from repro.__main__ import main
+
+        args = ["scenario", "run", "fig2", "--cycles", "100",
+                "--warmup", "50", "--store-stats", str(tmp_path / "s.json")]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        stats = json.loads((tmp_path / "s.json").read_text())
+        assert stats["jobs"] == stats["misses"] == stats["stores"] == 232
+        assert main(args + ["--reuse", "require"]) == 0
+        assert capsys.readouterr().out == cold
+        stats = json.loads((tmp_path / "s.json").read_text())
+        assert stats["hits"] == stats["jobs"] == 232
+
+    def test_key_honours_checkpoint(self, capsys):
+        from repro.__main__ import main
+
+        args = ["scenario", "run", "table3", "--cycles", "200",
+                "--warmup", "100"]
+        assert main(args + ["--checkpoint", "require"]) == 3
+        assert "no stored checkpoint" in capsys.readouterr().err
+        assert main(args + ["--checkpoint", "auto"]) == 0
+        cold = capsys.readouterr().out
+        assert main(args + ["--reuse", "off", "--checkpoint",
+                            "require"]) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold
+        assert "reused, 0 computed" in warm.err
+
+    def test_key_rejects_no_hmean(self):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit, match="--no-hmean"):
+            main(["scenario", "run", "table3", "--cycles", "200",
+                  "--warmup", "100", "--no-hmean"])
 
     def test_cli_overrides_apply(self, tmp_path, capsys):
         from repro.__main__ import main
